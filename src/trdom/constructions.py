@@ -43,9 +43,9 @@ from .graphs import (
     build,
     family_from_json,
     family_to_json,
+    int_from_json,
     king_distance,
     slant_lattice_distance,
-    vertex_from_json,
     vertex_to_json,
 )
 from .reception import TowerSet, VerificationReport, verify
@@ -95,15 +95,13 @@ class PlacementPlan:
     @classmethod
     def from_json(cls, data: dict) -> "PlacementPlan":
         try:
-            towers = data["towers"]
-            t = data["t"]
             r = data["r"]
             graph = data["graph"]
         except (KeyError, TypeError) as missing:
             raise DominationError(f"plan JSON is missing {missing}")
         return cls(
-            towers=TowerSet(tuple(vertex_from_json(w) for w in towers), int(t)),
-            r=int(r),
+            towers=TowerSet.from_json(data),
+            r=int_from_json(r, "plan requirement r"),
             theorem_tag=data.get("theorem", ""),
             claims_efficient=bool(data.get("claims_efficient", False)),
             graph_family=family_from_json(graph),

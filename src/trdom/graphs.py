@@ -15,16 +15,17 @@ diagonals.  Infinite-lattice helpers (:func:`king_distance`,
 at the origin.
 
 Distances use a closed form where one is exact (paths, cycles, grids,
-slant grids) and breadth-first search otherwise (king's grids, trees).
-Per-source BFS vectors are cached on the instance; instances are
-immutable after :func:`build`, so concurrent reads are safe and a
-repeated cache fill is idempotent.
+slant grids, king's grids) and breadth-first search for trees.  Signal
+is evaluated over depth-bounded balls (:meth:`GraphInstance.ball`), so
+its cost grows with the ball, not with the graph.  Nothing is cached:
+instances are immutable after :func:`build`, so concurrent reads are
+safe.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Sequence, Tuple, Union
 
 Vertex = Union[int, Tuple[int, int], Tuple[int, int, int]]
@@ -84,7 +85,11 @@ class GraphFamily:
 
     @classmethod
     def tree(cls, edges: Iterable[Sequence[int]]) -> "GraphFamily":
-        return cls("tree", (), tuple((int(a), int(b)) for a, b in edges))
+        try:
+            pairs = tuple((int(a), int(b)) for a, b in edges)
+        except (TypeError, ValueError, OverflowError):
+            raise DisconnectedTree(f"tree edges must be integer pairs, got {edges!r}") from None
+        return cls("tree", (), pairs)
 
     def describe(self) -> str:
         if self.kind == "tree":
@@ -105,9 +110,6 @@ class GraphInstance:
     family: GraphFamily
     vertices: Tuple[Vertex, ...]
     adjacency: Dict[Vertex, FrozenSet[Vertex]]
-    _dist_cache: Dict[Vertex, Dict[Vertex, int]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     @property
     def vertex_count(self) -> int:
@@ -128,23 +130,34 @@ class GraphInstance:
         self.require_vertex(v)
         return self.adjacency[v]
 
-    def distances_from(self, source: Vertex) -> Dict[Vertex, int]:
-        """All shortest-path lengths from ``source``, by BFS (cached)."""
+    def ball(self, source: Vertex, radius: int) -> Dict[Vertex, int]:
+        """Distances from ``source`` to every vertex within ``radius``.
+
+        A breadth-first search that stops after ``radius`` levels; a
+        tower of strength ``t`` reaches exactly ``ball(w, t - 1)``.  The
+        ball is empty for a negative radius.
+        """
         self.require_vertex(source)
-        cached = self._dist_cache.get(source)
-        if cached is not None:
-            return cached
+        if radius < 0:
+            return {}
+        adjacency = self.adjacency
         dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            for w in self.adjacency[u]:
-                if w not in dist:
-                    dist[w] = du + 1
-                    queue.append(w)
-        self._dist_cache[source] = dist
+        frontier = [source]
+        for d in range(1, radius + 1):
+            nxt = []
+            for u in frontier:
+                for w in adjacency[u]:
+                    if w not in dist:
+                        dist[w] = d
+                        nxt.append(w)
+            if not nxt:
+                break
+            frontier = nxt
         return dist
+
+    def distances_from(self, source: Vertex) -> Dict[Vertex, int]:
+        """All shortest-path lengths from ``source``, by a full BFS."""
+        return self.ball(source, len(self.vertices))
 
     def distance(self, u: Vertex, v: Vertex) -> int:
         """Shortest-path distance, via closed form where one is exact."""
@@ -163,9 +176,9 @@ class GraphInstance:
             return sum(abs(a - b) for a, b in zip(u, v))
         if kind == "slant":
             return slant_lattice_distance(u, v)
-        # King's grids and trees fall back to BFS.  Chebyshev is exact on
-        # finite boards too, but the BFS route keeps boundary behaviour
-        # beyond question; tests assert the closed form agrees.
+        if kind == "king":
+            return king_distance(u, v)
+        # Trees have no closed form; tests assert the others agree with BFS.
         return self.distances_from(u)[v]
 
 
@@ -336,10 +349,11 @@ def family_from_json(data: dict) -> GraphFamily:
         raise InvalidDimensions("graph JSON needs a 'family' key")
     if kind == "tree":
         return GraphFamily.tree(data.get("edges", []))
-    if kind not in _DIM_NAMES:
+    if not isinstance(kind, str) or kind not in _DIM_NAMES:
         raise InvalidDimensions(f"unknown family {kind!r}")
     try:
-        dims = tuple(int(data[name]) for name in _DIM_NAMES[kind])
+        dims = tuple(int_from_json(data[name], f"{kind} dimension {name}", InvalidDimensions)
+                     for name in _DIM_NAMES[kind])
     except KeyError as missing:
         raise InvalidDimensions(f"{kind} JSON is missing dimension {missing}")
     return GraphFamily(kind, dims)
@@ -353,9 +367,17 @@ def vertex_to_json(v: Vertex):
     return list(v) if isinstance(v, tuple) else v
 
 
+def int_from_json(value, what: str, error: type = DominationError) -> int:
+    """``int(value)`` for a JSON field; bad input raises ``error`` with a message."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{what} must be an integer, got {value!r}") from None
+
+
 def vertex_from_json(item) -> Vertex:
     if isinstance(item, list):
         if len(item) not in (2, 3):
             raise UnknownVertex(f"bad vertex JSON {item!r}")
-        return tuple(int(x) for x in item)
-    return int(item)
+        return tuple(int_from_json(x, "vertex coordinate", UnknownVertex) for x in item)
+    return int_from_json(item, "vertex", UnknownVertex)

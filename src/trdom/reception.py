@@ -7,8 +7,10 @@ broadcast zone of a tower is the radius ``t - 1`` ball around it, and a
 broadcast is *efficient* when every vertex lying in two or more zones
 receives exactly ``r``.
 
-Everything here is a pure function of immutable inputs, so evaluation
-across many tower sets can run in parallel freely.
+Signal is summed over each tower's zone only (:meth:`GraphInstance.ball`),
+so the cost grows with towers times zone size, not with the graph.
+Everything here is a pure function of immutable inputs and keeps no
+cache, so evaluation across many tower sets can run in parallel freely.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .graphs import DominationError, GraphInstance, Vertex, vertex_from_json, vertex_to_json
+from .graphs import (DominationError, GraphInstance, Vertex, int_from_json, vertex_from_json,
+                     vertex_to_json)
 
 
 class TowerOutsideGraph(DominationError):
@@ -50,7 +53,10 @@ class TowerSet:
             t = data["t"]
         except (KeyError, TypeError) as missing:
             raise DominationError(f"tower set JSON is missing {missing}")
-        return cls(tuple(vertex_from_json(w) for w in towers), int(t))
+        if not isinstance(towers, list):
+            raise DominationError(f"tower set JSON 'towers' must be a list, got {towers!r}")
+        return cls(tuple(vertex_from_json(w) for w in towers),
+                   int_from_json(t, "tower strength t"))
 
 
 @dataclass(frozen=True)
@@ -108,16 +114,23 @@ def _check_towers(g: GraphInstance, ts: TowerSet) -> None:
             )
 
 
-def compute_reception(g: GraphInstance, ts: TowerSet, r: int | None = None) -> ReceptionMap:
-    """Evaluate the defining signal sum exactly, with no thresholding."""
+def _accumulate(g: GraphInstance, ts: TowerSet) -> Tuple[Dict[Vertex, int], Dict[Vertex, int]]:
+    """Per-vertex signal and number of covering zones, summed ball by ball."""
     _check_towers(g, ts)
     t = ts.t
-    reception = {v: 0 for v in g.vertices}
+    reception = dict.fromkeys(g.vertices, 0)
+    zones = dict.fromkeys(g.vertices, 0)
     for w in ts.towers:
-        for v, d in g.distances_from(w).items():
-            if d < t:
-                reception[v] += t - d
-    return ReceptionMap(reception=reception, t=t, r=r)
+        for v, d in g.ball(w, t - 1).items():
+            reception[v] += t - d
+            zones[v] += 1
+    return reception, zones
+
+
+def compute_reception(g: GraphInstance, ts: TowerSet, r: int | None = None) -> ReceptionMap:
+    """Evaluate the defining signal sum exactly, with no thresholding."""
+    reception, _ = _accumulate(g, ts)
+    return ReceptionMap(reception=reception, t=ts.t, r=r)
 
 
 def verify(g: GraphInstance, ts: TowerSet, r: int) -> VerificationReport:
@@ -128,16 +141,8 @@ def verify(g: GraphInstance, ts: TowerSet, r: int) -> VerificationReport:
     """
     if r < 1:
         raise DominationError(f"required reception must be positive, got {r}")
-    _check_towers(g, ts)
+    reception, zones = _accumulate(g, ts)
     t = ts.t
-    reception = {v: 0 for v in g.vertices}
-    zones = {v: 0 for v in g.vertices}
-    for w in ts.towers:
-        for v, d in g.distances_from(w).items():
-            if d < t:
-                reception[v] += t - d
-                zones[v] += 1
-
     deficient = tuple(v for v in g.vertices if reception[v] < r)
     overlap = tuple(v for v in g.vertices if zones[v] >= 2)
     dominated = not deficient
@@ -160,5 +165,4 @@ def verify(g: GraphInstance, ts: TowerSet, r: int) -> VerificationReport:
 
 def broadcast_zone(g: GraphInstance, w: Vertex, t: int) -> frozenset:
     """Vertices within distance ``t - 1`` of tower ``w``."""
-    g.require_vertex(w)
-    return frozenset(v for v, d in g.distances_from(w).items() if d <= t - 1)
+    return frozenset(g.ball(w, t - 1))

@@ -93,12 +93,11 @@ class _Problem:
         max_reception = [0] * self.n
         for w_idx, w in enumerate(self.vertices):
             row = []
-            for v, d in g.distances_from(w).items():
-                if d < t:
-                    v_idx = index[v]
-                    row.append((v_idx, t - d))
-                    self.zone[v_idx].append(w_idx)
-                    max_reception[v_idx] += t - d
+            for v, d in g.ball(w, t - 1).items():
+                v_idx = index[v]
+                row.append((v_idx, t - d))
+                self.zone[v_idx].append(w_idx)
+                max_reception[v_idx] += t - d
             row.sort()
             self.gains.append(row)
         for lst in self.zone:

@@ -1,9 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trdom.cli import main, render_reception
-from trdom import TowerSet, grid_graph, path_graph
+from trdom import (DominationError, GraphFamily, PlacementPlan, TowerSet, family_from_json,
+                   grid_graph, path_graph)
 
 
 def run_cli(capsys, *argv):
@@ -203,3 +206,60 @@ def test_unknown_family_spec(capsys):
     code, _, err = run_cli(capsys, "gamma", "--family", "path", "--t", "2", "--r", "1")
     assert code == 1
     assert "--n" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--graph", '{"family":"grid","m":"x","n":3}', "--towers", "[[1,1]]", "--t", "2"],
+         "grid dimension m must be an integer"),
+        (["--graph", '{"family":"grid","m":2,"n":3}', "--towers", '[[1,"a"]]', "--t", "2"],
+         "vertex coordinate must be an integer"),
+        (["--graph", '{"family":"path","n":5}', "--towers", '[{"v":1}]', "--t", "2"],
+         "vertex must be an integer"),
+        (["--graph", '{"family":"path","n":5}', "--towers", '{"t":"two","towers":[3]}'],
+         "tower strength t must be an integer"),
+        (["--graph", '{"family":"path","n":5}', "--towers", '{"t":2,"towers":3}'],
+         "'towers' must be a list"),
+        (["--graph", '{"family":"tree","edges":[[1,"b"]]}', "--towers", "[1]", "--t", "2"],
+         "tree edges must be integer pairs"),
+        (["--graph", '{"family":["grid"]}', "--towers", "[1]", "--t", "2"],
+         "unknown family"),
+    ],
+    ids=["dimension", "coordinate", "vertex", "strength", "tower-list", "tree-edge", "family"],
+)
+def test_bad_json_exits_1_with_message(capsys, argv, message):
+    code, out, err = run_cli(capsys, "verify", *argv, "--r", "1")
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+def test_bad_plan_json_exits_1_with_message(capsys, tmp_path):
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps({"graph": {"family": "path", "n": 5},
+                                     "towers": [3], "t": 2, "r": "one"}))
+    code, _, err = run_cli(capsys, "verify", "--plan", str(plan_file))
+    assert code == 1
+    assert "plan requirement r must be an integer" in err
+
+
+_JSON_KEYS = st.sampled_from(["family", "m", "n", "k", "edges", "towers", "t", "r", "graph"])
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers(-3, 5) | st.floats() | st.text(max_size=2)
+                | st.sampled_from(["grid", "tree", "path", "king", "3"]))
+_JSON = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(_JSON_KEYS, kids, max_size=5),
+    max_leaves=12,
+)
+
+
+@given(data=_JSON)
+@settings(max_examples=300, deadline=None)
+def test_json_readers_raise_only_domination_errors(data):
+    for reader in (family_from_json, TowerSet.from_json, PlacementPlan.from_json):
+        try:
+            value = reader(data)
+        except DominationError:
+            continue
+        assert isinstance(value, (GraphFamily, TowerSet, PlacementPlan))

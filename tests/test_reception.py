@@ -4,14 +4,20 @@ from hypothesis import strategies as st
 
 from trdom import (
     DominationError,
+    GraphFamily,
+    GraphInstance,
     TowerOutsideGraph,
     TowerSet,
+    VerificationReport,
     broadcast_zone,
+    build,
     compute_reception,
     grid_graph,
     king_graph,
     path_graph,
     slant_graph,
+    slant_tile_cover,
+    solve,
     verify,
 )
 
@@ -136,3 +142,71 @@ def test_towers_json_round_trip():
     assert TowerSet.from_json(ts.to_json()) == ts
     flat = TowerSet((2, 5), 2)
     assert TowerSet.from_json(flat.to_json()) == flat
+
+
+_SIDE = st.integers(min_value=1, max_value=6)
+_RANDOM_TREES = st.integers(min_value=2, max_value=14).flatmap(
+    lambda n: st.tuples(*[st.integers(min_value=1, max_value=i - 1) for i in range(2, n + 1)])
+).map(lambda parents: GraphFamily.tree([(p, i) for i, p in enumerate(parents, start=2)]))
+_FAMILIES = st.one_of(
+    st.builds(GraphFamily.path, st.integers(min_value=1, max_value=12)),
+    st.builds(GraphFamily.cycle, st.integers(min_value=3, max_value=12)),
+    st.builds(GraphFamily.grid, _SIDE, _SIDE),
+    st.builds(GraphFamily.slant, _SIDE, _SIDE),
+    st.builds(GraphFamily.king, _SIDE, _SIDE),
+    st.builds(GraphFamily.grid3d, *[st.integers(min_value=1, max_value=3)] * 3),
+    _RANDOM_TREES,
+)
+
+
+def _reference_report(g, towers, t, r):
+    """The defining sums over full BFS distance vectors, written out directly."""
+    full = [g.distances_from(w) for w in towers]
+    reception = {v: sum(max(0, t - dist[v]) for dist in full) for v in g.vertices}
+    zones = {v: sum(1 for dist in full if dist[v] <= t - 1) for v in g.vertices}
+    deficient = tuple(v for v in g.vertices if reception[v] < r)
+    overlap = tuple(v for v in g.vertices if zones[v] >= 2)
+    report = VerificationReport(
+        dominated=not deficient,
+        min_reception=min(reception.values()),
+        deficient=deficient,
+        overlap_vertices=overlap,
+        efficient=not deficient and all(reception[v] == r for v in overlap),
+        wasted_signal=sum(max(0, reception[v] - r) for v in overlap),
+        total_excess=sum(max(0, reception[v] - r) for v in g.vertices),
+        t=t,
+        r=r,
+        r_exceeds_t=r > t,
+    )
+    return reception, report
+
+
+@given(data=st.data(), family=_FAMILIES, t=st.integers(min_value=1, max_value=5))
+@settings(max_examples=150, deadline=None)
+def test_ball_kernel_matches_full_bfs(data, family, t):
+    g = build(family)
+    for w in g.vertices:
+        full = g.distances_from(w)
+        assert g.ball(w, t - 1) == {v: d for v, d in full.items() if d < t}
+    towers = tuple(data.draw(st.lists(st.sampled_from(g.vertices), unique=True, max_size=6)))
+    r = data.draw(st.integers(min_value=1, max_value=t + 1))
+    reception, report = _reference_report(g, towers, t, r)
+    ts = TowerSet(towers, t)
+    assert compute_reception(g, ts).reception == reception
+    assert verify(g, ts, r) == report
+
+
+def test_signal_paths_never_run_a_full_bfs(monkeypatch):
+    def forbidden(self, source):
+        raise AssertionError("full-graph BFS on the signal path")
+
+    monkeypatch.setattr(GraphInstance, "distances_from", forbidden)
+    plan = slant_tile_cover(60, 60, 2, 1)
+    report = plan.verify()
+    assert report.dominated
+    g = plan.build_graph()
+    assert min(compute_reception(g, plan.towers).reception.values()) == report.min_reception
+    assert broadcast_zone(g, (30, 30), 3) == frozenset(g.ball((30, 30), 2))
+    small = grid_graph(3, 4)
+    result = solve(small, 2, 1)
+    assert result.proven_minimal and verify(small, result.witness, 1).dominated
