@@ -284,7 +284,8 @@ def _audit_instance(
             row.status = "construction-failed"
             return _finish_row(row)
     if g.vertex_count <= oracle_limit:
-        row.oracle = solve(g, t, r).gamma
+        # gamma is proven with or without the canonical witness phase.
+        row.oracle = solve(g, t, r, SolverConfig(canonical_witness=False)).gamma
     return _finish_row(row)
 
 
@@ -513,12 +514,10 @@ def _cmd_exact(args) -> int:
         max_cardinality=args.max_cardinality,
         canonical_witness=not args.no_canonical,
         node_budget=args.node_budget,
-        workers=args.workers,
     )
     result = solve(g, args.t, args.r, cfg)
     payload = _wrap("exact",
-                    {"graph": family_to_json(family), "t": args.t, "r": args.r,
-                     "workers": args.workers},
+                    {"graph": family_to_json(family), "t": args.t, "r": args.r},
                     {"oracle": result.to_json()})
     human = (f"{family.describe()} (t={args.t}, r={args.r}): gamma = {result.gamma}"
              f"{'' if result.proven_minimal else ' (not proven minimal)'}\n"
@@ -535,7 +534,7 @@ def _cmd_lattice(args) -> int:
         pattern = cons.king_lattice_pattern(args.t, args.r)
         if pattern.kind != args.kind:
             raise _UsageError(f"--r {args.r} selects pattern {pattern.kind}, not {args.kind}")
-    halfwidth = args.halfwidth if args.halfwidth else 4 * args.t
+    halfwidth = args.halfwidth if args.halfwidth is not None else 4 * args.t
     report = cons.verify_lattice_window(pattern, args.t, args.r, halfwidth)
     if args.index_range:
         x0, x1, y0, y1 = args.index_range
@@ -670,7 +669,6 @@ def _build_parser() -> _Parser:
     _add_family_args(p)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--node-budget", type=int)
     p.add_argument("--max-cardinality", type=int)
     p.add_argument("--no-canonical", action="store_true")

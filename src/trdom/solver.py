@@ -8,10 +8,9 @@ times the best single-tower supply must cover the residual demand).
 the independent second oracle for small graphs.
 
 Determinism: vertices are ordered row-major; branching vertices are the
-minimum-reception vertex with row-major tie-break, candidate towers are
-ordered by descending marginal contribution with row-major tie-break,
-and parallel mode reduces over top-level branches by branch index, not
-completion order.  With ``canonical_witness`` the witness is the
+minimum-reception vertex with row-major tie-break, and candidate towers
+are ordered by descending marginal contribution with row-major
+tie-break.  With ``canonical_witness`` the witness is the
 lexicographically least minimum dominating set in row-major order,
 which is exactly what :func:`naive_enumerate` returns.
 """
@@ -19,7 +18,6 @@ which is exactly what :func:`naive_enumerate` returns.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -42,15 +40,12 @@ class SolverConfig:
     max_cardinality: Optional[int] = None
     canonical_witness: bool = True
     node_budget: Optional[int] = None
-    workers: int = 1
 
     def __post_init__(self):
         if self.max_cardinality is not None and self.max_cardinality < 1:
             raise DominationError("max_cardinality must be positive")
         if self.node_budget is not None and self.node_budget < 1:
             raise DominationError("node_budget must be positive")
-        if self.workers < 1:
-            raise DominationError("workers must be positive")
 
 
 @dataclass(frozen=True)
@@ -116,7 +111,7 @@ class _Problem:
 
 
 class _Search:
-    """Mutable search state for one thread of exploration."""
+    """Mutable search state for one depth-first exploration."""
 
     def __init__(self, problem: _Problem, counter: List[int], budget: Optional[int]):
         self.p = problem
@@ -202,49 +197,6 @@ class _Search:
         return result
 
 
-def _root_branches(problem: _Problem, search: _Search) -> List[int]:
-    return search.candidates(search._branch_vertex())
-
-
-def _exists(problem: _Problem, k: int, counter: List[int],
-            budget: Optional[int], workers: int) -> Optional[List[int]]:
-    if workers <= 1:
-        return _Search(problem, counter, budget).dfs(k)
-    probe = _Search(problem, counter, budget)
-    probe._tick()
-    if probe.deficit == 0:
-        return []
-    if k == 0 or k * problem.s_max < probe.deficit:
-        return None
-    branches = _root_branches(problem, probe)
-
-    def run(i_w: Tuple[int, int]) -> Tuple[Optional[List[int]], int, bool]:
-        i, w = i_w
-        local = [0]
-        sub = _Search(problem, local, budget)
-        sub.excluded.update(branches[:i])
-        sub.apply(w)
-        try:
-            found = sub.dfs(k - 1)
-        except _BudgetExhausted:
-            return (None, local[0], True)
-        return (found, local[0], False)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run, enumerate(branches)))
-    for _, nodes, _ in results:
-        counter[0] += nodes
-    # A branch cut short by the budget cannot vouch for "no solution".
-    if any(exhausted for _, _, exhausted in results):
-        raise _BudgetExhausted
-    if budget is not None and counter[0] > budget:
-        raise _BudgetExhausted
-    for found, _, _ in results:  # reduce by branch index, not completion order
-        if found is not None:
-            return found
-    return None
-
-
 def _canonical(problem: _Problem, k: int, counter: List[int],
                budget: Optional[int]) -> Optional[List[int]]:
     """Lexicographically least dominating set of size k, ascending scan."""
@@ -307,9 +259,10 @@ def solve(
     proven = False
     try:
         # The deepening always terminates at or below `upper`: a
-        # dominating set of that size exists, so _exists(upper) finds one.
+        # dominating set of that size exists, so the search at k = upper
+        # finds one.
         for k in range(lower, cap + 1):
-            found = _exists(problem, k, counter, cfg.node_budget, cfg.workers)
+            found = _Search(problem, counter, cfg.node_budget).dfs(k)
             if found is not None:
                 best, proven = found, True
                 break

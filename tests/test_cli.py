@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,12 @@ from hypothesis import strategies as st
 from trdom.cli import main, render_reception
 from trdom import (DominationError, GraphFamily, PlacementPlan, TowerSet, family_from_json,
                    grid_graph, path_graph)
+
+
+REFERENCE_ROWS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                              "paper_reference.json")
+AUDIT_FIELDS = ("instance", "t", "r", "theorem_tag", "kind", "formula",
+                "constructed", "oracle", "status")
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +143,24 @@ class TestLattice:
         data = json.loads(out)
         assert [0, 0] in data["towers_in_window"]
 
+    def test_zero_halfwidth_is_too_small(self, capsys):
+        # 0 is a given halfwidth, not a request for the 4t default.
+        code, out, err = run_cli(capsys, "lattice", "--kind", "king-t1", "--t", "2",
+                                 "--r", "1", "--halfwidth", "0", "--json")
+        assert code == 1
+        assert out == ""
+        assert "window halfwidth 0 < 3t = 6" in err
+
+    def test_triangular_t1_window_has_every_vertex(self, capsys):
+        # At (t, r) = (1, 1) the pattern is the whole lattice; towers whose
+        # generator index is twice their coordinate must not be missed.
+        code, out, _ = run_cli(capsys, "lattice", "--kind", "triangular", "--t", "1",
+                               "--r", "1", "--halfwidth", "9", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert len(data["towers_in_window"]) == 19 * 19
+        assert data["window_report"]["dominated"] is True
+
 
 class TestTable:
     def test_single_row(self, capsys):
@@ -194,6 +219,17 @@ class TestAudit:
         assert [row["instance"] for row in mismatched] == ["grid3d(2, 2, 1)"]
         gaps = [row for row in data["rows"] if row["status"].startswith("bound-gap")]
         assert any(row["instance"] == "grid3d(2, 2, 5)" for row in gaps)
+
+    @pytest.mark.parametrize("suite", ["paths", "grids", "grid3d", "king", "slant"])
+    def test_suite_matches_recorded_reference(self, capsys, suite):
+        # Rows recorded by perfbench/record_reference.py; the 13 Thm1.2 and
+        # 1 Thm4.1 MISMATCH rows are known defects and must stay visible.
+        with open(REFERENCE_ROWS) as handle:
+            expected = json.load(handle)[suite]
+        code, out, _ = run_cli(capsys, "audit", "--suite", suite, "--json")
+        rows = [[row[name] for name in AUDIT_FIELDS] for row in json.loads(out)["rows"]]
+        assert rows == expected
+        assert code == (3 if any(row[-1] == "MISMATCH" for row in expected) else 0)
 
 
 def test_usage_error_exit_code(capsys):

@@ -91,19 +91,6 @@ class TestAgreement:
                 assert got.witness == expected.witness
                 assert got.proven_minimal
 
-    def test_parallel_matches_single_threaded(self):
-        cfg4 = SolverConfig(workers=4)
-        for (g, t, r) in (
-            (grid_graph(3, 4), 2, 1),
-            (slant_graph(2, 8), 3, 1),
-            (king_graph(3, 6), 2, 1),
-            (cycle_graph(11), 3, 2),
-        ):
-            single = solve(g, t, r)
-            parallel = solve(g, t, r, cfg4)
-            assert single.gamma == parallel.gamma
-            assert single.witness == parallel.witness
-
 
 class TestMonotoneUnderEdgeAddition:
     def test_king_le_slant_le_grid(self):
@@ -140,7 +127,7 @@ class TestConfig:
 
     def test_invalid_config(self):
         with pytest.raises(Exception):
-            SolverConfig(workers=0)
+            SolverConfig(max_cardinality=0)
         with pytest.raises(Exception):
             SolverConfig(node_budget=0)
 
