@@ -522,6 +522,7 @@ def _cmd_exact(args) -> int:
     human = (f"{family.describe()} (t={args.t}, r={args.r}): gamma = {result.gamma}"
              f"{'' if result.proven_minimal else ' (not proven minimal)'}\n"
              f"witness: {json.dumps([vertex_to_json(w) for w in result.witness.towers])}\n"
+             f"canonical: {json.dumps(result.canonical)}\n"
              f"explored_nodes: {result.explored_nodes}")
     _emit(args, payload, human)
     return 0

@@ -1,16 +1,17 @@
 """Exact minimum-cardinality solvers for broadcast domination.
 
 :func:`solve` is a branch-and-bound search: iterative deepening on the
-cardinality k, depth-first branching on towers that can reach the
-currently most-deficient vertex, and a counting prune (remaining slots
-times the best single-tower supply must cover the residual demand).
+cardinality k, depth-first branching on the towers that can still reach
+one deficient vertex, and a counting prune (remaining slots times the
+best single-tower capped supply must cover the residual deficit).
 :func:`naive_enumerate` checks all subsets in cardinality order and is
 the independent second oracle for small graphs.
 
-Determinism: vertices are ordered row-major; branching vertices are the
-minimum-reception vertex with row-major tie-break, and candidate towers
-are ordered by descending marginal contribution with row-major
-tie-break.  With ``canonical_witness`` the witness is the
+Determinism: vertices are ordered row-major.  The branching vertex is
+the deficient vertex with the fewest open towers (towers in its zone
+neither chosen nor excluded), then the least reception, then row-major
+order; candidate towers are ordered by descending marginal contribution
+with row-major tie-break.  With ``canonical_witness`` the witness is the
 lexicographically least minimum dominating set in row-major order,
 which is exactly what :func:`naive_enumerate` returns.
 """
@@ -18,7 +19,8 @@ which is exactly what :func:`naive_enumerate` returns.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from .graphs import DominationError, GraphInstance, Vertex, vertex_to_json
@@ -50,10 +52,18 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class OracleResult:
+    """An oracle's answer; ``canonical`` means the witness is the
+    lexicographically least minimum dominating set.  ``stats`` (from
+    :func:`solve`) holds per-phase ``nodes`` and ``seconds``, the bounds,
+    the deepening ``levels`` tried and ``budget_exhausted_in``.
+    """
+
     gamma: int
     witness: TowerSet
     explored_nodes: int
     proven_minimal: bool
+    canonical: bool = False
+    stats: Optional[dict] = field(default=None, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -62,6 +72,8 @@ class OracleResult:
             "t": self.witness.t,
             "explored_nodes": self.explored_nodes,
             "proven_minimal": self.proven_minimal,
+            "canonical": self.canonical,
+            "stats": self.stats,
         }
 
 
@@ -103,7 +115,8 @@ class _Problem:
                 f"even with towers everywhere, reception stays below r={r} "
                 f"at {deficient[:4]}"
             )
-        self.supply = [sum(amount for _, amount in row) for row in self.gains]
+        # One tower cuts the deficit sum_v min(r, f(v)) by at most this.
+        self.supply = [sum(min(r, amount) for _, amount in row) for row in self.gains]
         self.s_max = max(self.supply)
 
     def witness(self, indices: Sequence[int]) -> TowerSet:
@@ -111,131 +124,132 @@ class _Problem:
 
 
 class _Search:
-    """Mutable search state for one depth-first exploration."""
+    """Search state; ``blocked[w]`` means w is chosen or excluded, and
+    ``open_[v]`` counts the unblocked towers in ``zone[v]``."""
 
     def __init__(self, problem: _Problem, counter: List[int], budget: Optional[int]):
         self.p = problem
         self.reception = [0] * problem.n
         self.deficit = problem.n * problem.r
         self.chosen: List[int] = []
-        self.chosen_set: set = set()
-        self.excluded: set = set()
+        self.blocked = [False] * problem.n
+        self.open_ = [len(zone) for zone in problem.zone]
         self.counter = counter
         self.budget = budget
 
-    def _tick(self):
-        self.counter[0] += 1
-        if self.budget is not None and self.counter[0] > self.budget:
-            raise _BudgetExhausted
+    def block(self, w: int) -> None:
+        self.blocked[w] = True
+        for v, _ in self.p.gains[w]:
+            self.open_[v] -= 1
+
+    def unblock(self, w: int) -> None:
+        self.blocked[w] = False
+        for v, _ in self.p.gains[w]:
+            self.open_[v] += 1
 
     def apply(self, w: int) -> None:
-        r = self.p.r
+        """Choose w: add its signal and block it (block's loop inlined)."""
+        r, reception, open_ = self.p.r, self.reception, self.open_
+        deficit = self.deficit
         for v, amount in self.p.gains[w]:
-            before = self.reception[v]
-            self.deficit -= min(r, before + amount) - min(r, before)
-            self.reception[v] = before + amount
+            before = reception[v]
+            if before < r:
+                deficit -= amount if amount < r - before else r - before
+            reception[v] = before + amount
+            open_[v] -= 1
+        self.deficit = deficit
+        self.blocked[w] = True
         self.chosen.append(w)
-        self.chosen_set.add(w)
 
     def unapply(self, w: int) -> None:
-        r = self.p.r
+        r, reception, open_ = self.p.r, self.reception, self.open_
+        deficit = self.deficit
         for v, amount in self.p.gains[w]:
-            before = self.reception[v]
-            self.deficit += min(r, before) - min(r, before - amount)
-            self.reception[v] = before - amount
+            after = reception[v] - amount
+            if after < r:
+                deficit += amount if amount < r - after else r - after
+            reception[v] = after
+            open_[v] += 1
+        self.deficit = deficit
+        self.blocked[w] = False
         self.chosen.pop()
-        self.chosen_set.remove(w)
 
     def _branch_vertex(self) -> int:
-        r = self.p.r
-        best = -1
-        best_f = None
-        for v in range(self.p.n):
-            f = self.reception[v]
-            if f < r and (best_f is None or f < best_f):
-                best, best_f = v, f
+        """The deficient vertex with the fewest open towers (fail first)."""
+        r, open_ = self.p.r, self.open_
+        best, best_o, best_f = -1, self.p.n + 1, r
+        for v, f in enumerate(self.reception):
+            if f < r and (open_[v] < best_o or open_[v] == best_o and f < best_f):
+                best, best_o, best_f = v, open_[v], f
+                if not best_o:
+                    break
         return best
 
     def _marginal(self, w: int) -> int:
-        r = self.p.r
+        r, reception = self.p.r, self.reception
         total = 0
         for v, amount in self.p.gains[w]:
-            gap = r - self.reception[v]
+            gap = r - reception[v]
             if gap > 0:
-                total += min(amount, gap)
+                total += amount if amount < gap else gap
         return total
 
-    def candidates(self, v: int, min_index: int = 0) -> List[int]:
-        pool = [
-            w
-            for w in self.p.zone[v]
-            if w >= min_index and w not in self.chosen_set and w not in self.excluded
-        ]
-        pool.sort(key=lambda w: (-self._marginal(w), w))
-        return pool
+    def candidates(self, v: int) -> List[Tuple[int, int]]:
+        """(-marginal, w) for the open towers of zone[v], best first."""
+        return sorted((-self._marginal(w), w) for w in self.p.zone[v] if not self.blocked[w])
 
-    def dfs(self, slots: int, min_index: int = 0) -> Optional[List[int]]:
-        """Find any extension by at most ``slots`` towers (indices >= min_index)."""
-        self._tick()
+    def dfs(self, slots: int) -> Optional[List[int]]:
+        """Any extension by at most ``slots`` unblocked towers; restores the state."""
+        self.counter[0] += 1
+        if self.budget is not None and self.counter[0] > self.budget:
+            raise _BudgetExhausted
         if self.deficit == 0:
             return list(self.chosen)
         if slots == 0 or slots * self.p.s_max < self.deficit:
             return None
-        v = self._branch_vertex()
-        added = []
-        result = None
-        for w in self.candidates(v, min_index):
+        tried, result = [], None
+        # A child whose gain leaves more deficit than slots - 1 towers can
+        # cut fails the prune above; gains only fall along the list.
+        floor = self.deficit - (slots - 1) * self.p.s_max
+        for neg_gain, w in self.candidates(self._branch_vertex()):
+            if -neg_gain < floor:
+                break
             self.apply(w)
-            result = self.dfs(slots - 1, min_index)
+            result = self.dfs(slots - 1)
             self.unapply(w)
             if result is not None:
                 break
-            self.excluded.add(w)
-            added.append(w)
-        for w in added:
-            self.excluded.remove(w)
+            self.block(w)
+            tried.append(w)
+        for w in tried:
+            self.unblock(w)
         return result
 
 
 def _canonical(problem: _Problem, k: int, counter: List[int],
                budget: Optional[int]) -> Optional[List[int]]:
-    """Lexicographically least dominating set of size k, ascending scan."""
+    """Lexicographically least dominating set of size k, ascending scan.
+
+    A tower with no completion stays blocked: later prefix towers are larger.
+    """
     search = _Search(problem, counter, budget)
-    prefix: List[int] = []
-    last = -1
-    while search.deficit > 0:
-        placed = False
-        for w in range(last + 1, problem.n):
-            search.apply(w)
-            slots = k - len(prefix) - 1
-            saved_excluded = set(search.excluded)
-            completion = search.dfs(slots, min_index=w + 1)
-            search.excluded = saved_excluded
-            if completion is not None:
-                prefix.append(w)
-                last = w
-                placed = True
-                break
+    for w in range(problem.n):
+        if search.deficit == 0:
+            break
+        search.apply(w)
+        if search.dfs(k - len(search.chosen)) is None:
             search.unapply(w)
-        if not placed:
-            return None
-    return prefix
+            search.block(w)
+    return search.chosen if search.deficit == 0 else None
 
 
 def _greedy(problem: _Problem) -> List[int]:
-    counter = [0]
-    search = _Search(problem, counter, None)
+    """Repeatedly place the tower of largest marginal gain (least index)."""
+    search = _Search(problem, [0], None)
     while search.deficit > 0:
-        best_w = -1
-        best_gain = 0
-        for w in range(problem.n):
-            if w in search.chosen_set:
-                continue
-            gain = search._marginal(w)
-            if gain > best_gain:
-                best_w, best_gain = w, gain
-        search.apply(best_w)
-    return list(search.chosen)
+        search.apply(max((w for w in range(problem.n) if not search.blocked[w]),
+                         key=lambda w: (search._marginal(w), -w)))
+    return search.chosen
 
 
 def solve(
@@ -243,50 +257,53 @@ def solve(
 ) -> OracleResult:
     """True gamma and a witness, by iterative-deepening branch and bound.
 
-    The deepening starts at the counting lower bound ceil(n * r / S_max)
-    with S_max the best single-tower total supply.  On budget
-    exhaustion the best-known (greedy) witness is returned with
-    ``proven_minimal=False`` instead of an error.
+    The deepening starts at the counting lower bound ceil(n * r / S_max),
+    where S_max = max_w sum_v min(r, t - d(w, v)) is the most one tower
+    can cut the total deficit sum_v (r - min(r, f(v))).  On budget
+    exhaustion the best-known witness is returned: in the deepening it
+    is the greedy one with ``proven_minimal=False``; in the canonical
+    phase gamma stays proven and the witness has ``canonical=False``.
     """
     cfg = cfg or SolverConfig()
     problem = _Problem(g, t, r)
     counter = [0]
-    greedy = _greedy(problem)
-    upper = len(greedy)
-    lower = max(1, -(-problem.n * r // problem.s_max))
-    cap = upper if cfg.max_cardinality is None else min(upper, cfg.max_cardinality)
-    best = greedy
-    proven = False
-    try:
-        # The deepening always terminates at or below `upper`: a
-        # dominating set of that size exists, so the search at k = upper
-        # finds one.
-        for k in range(lower, cap + 1):
-            found = _Search(problem, counter, cfg.node_budget).dfs(k)
-            if found is not None:
-                best, proven = found, True
-                break
-    except _BudgetExhausted:
-        return OracleResult(
-            gamma=len(best),
-            witness=problem.witness(best),
-            explored_nodes=counter[0],
-            proven_minimal=False,
-        )
-    gamma = len(best)
-    if proven and cfg.canonical_witness:
+    phases = {name: {"nodes": 0, "seconds": 0.0}
+              for name in ("greedy", "deepening", "canonical")}
+    stats = {"phases": phases, "levels": [], "budget_exhausted_in": None}
+
+    def run(phase, step, *args):
+        before, start = counter[0], time.perf_counter()
         try:
-            canonical = _canonical(problem, gamma, counter, cfg.node_budget)
+            return step(*args)
         except _BudgetExhausted:
-            canonical = None  # gamma stays proven; keep the found witness
-        if canonical is not None:
-            best = canonical
-    return OracleResult(
-        gamma=gamma,
-        witness=problem.witness(best),
-        explored_nodes=counter[0],
-        proven_minimal=proven,
-    )
+            stats["budget_exhausted_in"] = phase
+            return None
+        finally:
+            phases[phase]["nodes"] += counter[0] - before
+            phases[phase]["seconds"] += time.perf_counter() - start
+
+    best = run("greedy", _greedy, problem)
+    upper, lower = len(best), max(1, -(-problem.n * r // problem.s_max))
+    stats.update(lower_bound=lower, upper_bound=upper)
+    cap = upper if cfg.max_cardinality is None else min(upper, cfg.max_cardinality)
+    proven = canonical = False
+    # The deepening always terminates at or below `upper`: a dominating
+    # set of that size exists, so the search at k = upper finds one.
+    for k in range(lower, cap + 1):
+        before = counter[0]
+        found = run("deepening", _Search(problem, counter, cfg.node_budget).dfs, k)
+        stats["levels"].append({"k": k, "nodes": counter[0] - before})
+        if found is not None:
+            best, proven = found, True
+        if found is not None or stats["budget_exhausted_in"]:
+            break
+    if proven and cfg.canonical_witness:
+        least = run("canonical", _canonical, problem, len(best), counter, cfg.node_budget)
+        if least is not None:
+            best, canonical = least, True
+    return OracleResult(gamma=len(best), witness=problem.witness(best),
+                        explored_nodes=counter[0], proven_minimal=proven,
+                        canonical=canonical, stats=stats)
 
 
 NAIVE_VERTEX_CAP = 16
@@ -316,5 +333,6 @@ def naive_enumerate(g: GraphInstance, t: int, r: int) -> OracleResult:
                     witness=problem.witness(combo),
                     explored_nodes=checked,
                     proven_minimal=True,
+                    canonical=True,
                 )
     raise Infeasible("no subset dominates; feasibility precheck should have caught this")

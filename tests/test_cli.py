@@ -118,6 +118,25 @@ class TestExact:
         data = json.loads(out)["oracle"]
         assert data["gamma"] == 2
         assert data["proven_minimal"] is True
+        assert data["canonical"] is True
+        stats = data["stats"]
+        assert sum(p["nodes"] for p in stats["phases"].values()) == data["explored_nodes"]
+        assert stats["lower_bound"] <= 2 <= stats["upper_bound"]
+        assert stats["budget_exhausted_in"] is None
+
+    def test_exact_human_text_reports_canonical(self, capsys):
+        code, out, _ = run_cli(capsys, "exact", "--family", "grid", "--m", "3",
+                               "--n", "3", "--t", "2", "--r", "1", "--no-canonical")
+        assert code == 0
+        assert "canonical: false" in out
+
+    def test_gamma_exact_json_carries_stats(self, capsys):
+        code, out, _ = run_cli(capsys, "gamma", "--family", "grid", "--m", "3",
+                               "--n", "3", "--t", "2", "--r", "1", "--exact", "--json")
+        assert code == 0
+        oracle = json.loads(out)["oracle"]
+        assert oracle["canonical"] is True
+        assert [level["k"] for level in oracle["stats"]["levels"]][-1] == oracle["gamma"]
 
     def test_size_guard(self, capsys):
         code, _, err = run_cli(capsys, "exact", "--family", "grid", "--m", "8",
