@@ -11,7 +11,7 @@ from trdom import (
     path_towers,
     verify,
 )
-from trdom.cli import render_reception
+from trdom.reception import render_reception
 
 # A tower of strength t contributes max(0, t - d) signal to each vertex;
 # a set of towers dominates at requirement r when every vertex collects

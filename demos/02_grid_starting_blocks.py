@@ -10,7 +10,7 @@ from trdom import (
     grid_towers,
     solve,
 )
-from trdom.cli import render_reception
+from trdom.reception import render_reception
 
 # A starting block is a grid dominated *efficiently* by two corner towers.
 # Its width shrinks as rows are added: n = 2t - r - (m - 2).

@@ -12,7 +12,7 @@ from trdom import (
     grid3d_upper_bound,
     solve,
 )
-from trdom.cli import render_reception
+from trdom.reception import render_reception
 
 # Stated block shapes for a few (t, r); all share the dimension sum 2t - r + 3.
 print("starting blocks by shape:")

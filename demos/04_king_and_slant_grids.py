@@ -15,7 +15,7 @@ from trdom import (
     slant_upper_bound,
     solve,
 )
-from trdom.cli import render_reception
+from trdom.reception import render_reception
 
 # King moves make distance Chebyshev; the slant diagonal only helps
 # displacements whose components share a sign.

@@ -12,7 +12,7 @@ from trdom import (
     TowerSet,
     verify,
 )
-from trdom.cli import run_audit, _format_rows
+from trdom.audit import format_rows, run_audit
 
 # Cycles inherit the path bound; it is tight for r = 1 but slack once
 # wrap-around overlap helps (e.g. C_4 at (2,2)).
@@ -40,6 +40,6 @@ print(f"\nspider tree: decomposition bound {bound}, exact {exact}, "
 # flags genuine discrepancies as MISMATCH (nonzero exit in the CLI).
 print("\naudit of the 3D suite (exact values, blocks, tiling bounds):")
 rows = run_audit("grid3d")
-print(_format_rows(rows))
+print(format_rows(rows))
 print("\nMISMATCH rows are real, documented defects of the stated claims;")
 print("bound-gap rows show how far a bound sits above the exact value.")

@@ -1,7 +1,9 @@
 """Command-line surface: compute, construct, verify, solve, and audit.
 
 Subcommands: ``gamma``, ``construct``, ``verify``, ``exact``,
-``lattice``, ``table``, ``render``, ``audit``.  Output is a human
+``lattice``, ``table``, ``render``, ``audit``.  The CLI only parses
+arguments and formats output; the work is done by library calls, with
+the family claims and the audit in :mod:`trdom.audit`.  Output is a human
 summary by default; ``--json`` switches to machine format.  Exit codes:
 0 ok, 1 usage or hypothesis error, 2 verification failure under
 ``--require-dominated``, 3 formula/oracle mismatch.
@@ -10,28 +12,20 @@ summary by default; ``--json`` switches to machine format.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from . import __version__
 from . import constructions as cons
 from . import formulas as fo
-from .graphs import (
-    DominationError,
-    GraphFamily,
-    GraphInstance,
-    build,
-    family_from_json,
-    family_to_json,
-    vertex_from_json,
-    vertex_to_json,
-)
-from .reception import TowerSet, compute_reception, verify
+from .audit import (MAX_ORACLE_VERTICES, SUITES, ComparisonRow, construct_for_family, finish_row,
+                    format_rows, gamma_for_family, run_audit)
+from .graphs import (FAMILY_DIMS, DominationError, GraphFamily, GraphInstance, build,
+                     family_from_json, family_to_json, vertex_from_json, vertex_to_json)
+from .reception import TowerSet, render_reception, verify
 from .solver import SolverConfig, solve
-
-MAX_ORACLE_VERTICES = 30
 
 
 class _UsageError(DominationError):
@@ -53,7 +47,7 @@ def _load_json_arg(value: str):
 
 
 def _add_family_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--family", choices=["path", "cycle", "grid", "grid3d", "slant", "king", "tree"])
+    parser.add_argument("--family", choices=list(FAMILY_DIMS))
     parser.add_argument("--m", type=int)
     parser.add_argument("--n", type=int)
     parser.add_argument("--k", type=int)
@@ -71,10 +65,8 @@ def _family_from_args(args) -> GraphFamily:
         if not args.edges:
             raise _UsageError("tree family needs --edges")
         return GraphFamily.tree(_load_json_arg(args.edges))
-    need = {"path": ("n",), "cycle": ("n",), "grid": ("m", "n"),
-            "slant": ("m", "n"), "king": ("m", "n"), "grid3d": ("m", "n", "k")}[kind]
     dims = []
-    for name in need:
+    for name in FAMILY_DIMS[kind]:
         value = getattr(args, name)
         if value is None:
             raise _UsageError(f"family {kind} needs --{name}")
@@ -91,6 +83,15 @@ def _towers_from_arg(value: str, t: Optional[int]) -> TowerSet:
     return TowerSet(tuple(vertex_from_json(w) for w in data), t)
 
 
+def _oracle_graph(args, family: GraphFamily) -> GraphInstance:
+    g = build(family)
+    if g.vertex_count > args.max_oracle_vertices and not args.allow_large:
+        raise _UsageError(
+            f"{g.vertex_count} vertices exceeds --max-oracle-vertices="
+            f"{args.max_oracle_vertices}; pass --allow-large to override")
+    return g
+
+
 def _emit(args, payload: dict, human: str) -> None:
     if getattr(args, "json", False):
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -104,330 +105,12 @@ def _wrap(command: str, params: dict, body: dict) -> dict:
 
 
 # --------------------------------------------------------------------------
-# rendering
-
-def render_reception(
-    g: GraphInstance,
-    ts: TowerSet,
-    col_start: int = 1,
-    max_cols: int = 60,
-) -> str:
-    """ASCII reception grid: towers as ``T``, digits, ``+`` above 9.
-
-    Row 1 prints first.  Columns are windowed to ``max_cols`` starting
-    at ``col_start`` (1-based); 3D grids print one block per layer.
-    """
-    rec = compute_reception(g, ts).reception
-    towers = set(ts.towers)
-
-    def cell(v) -> str:
-        if v in towers:
-            return "T"
-        f = rec[v]
-        return str(f) if f <= 9 else "+"
-
-    kind = g.family.kind
-    if kind in ("path", "cycle", "tree"):
-        n = g.vertex_count
-        cols = range(col_start, min(n, col_start + max_cols - 1) + 1)
-        return "".join(cell(i) for i in cols)
-    if kind == "grid3d":
-        m, n, k = g.family.dims
-        cols = range(col_start, min(n, col_start + max_cols - 1) + 1)
-        blocks = []
-        for layer in range(1, k + 1):
-            rows = ["".join(cell((r, c, layer)) for c in cols) for r in range(1, m + 1)]
-            blocks.append(f"layer {layer}\n" + "\n".join(rows))
-        return "\n\n".join(blocks)
-    m, n = g.family.dims
-    cols = range(col_start, min(n, col_start + max_cols - 1) + 1)
-    return "\n".join("".join(cell((r, c)) for c in cols) for r in range(1, m + 1))
-
-
-# --------------------------------------------------------------------------
-# per-family dispatch
-
-def _auto_grid3d_bound(m: int, n: int, k: int, t: int, r: int) -> Tuple[fo.GammaResult, fo.BlockDims]:
-    best = None
-    for block in fo.block3d_family(fo.block3d_sum(t, r), t, r):
-        result = fo.grid3d_upper_bound(m, n, k, t, r, block)
-        if best is None or result.value < best[0].value:
-            best = (result, block)
-    return best
-
-
-def _gamma_for_family(family: GraphFamily, t: int, r: int,
-                      decomposition=None) -> fo.GammaResult:
-    kind = family.kind
-    if kind == "path":
-        return fo.path_gamma(family.dims[0], t, r)
-    if kind == "cycle":
-        return fo.cycle_upper_bound(family.dims[0], t, r)
-    if kind == "grid":
-        return fo.grid_gamma(*family.dims, t, r)
-    if kind == "king":
-        return fo.king_gamma(*family.dims, t, r)
-    if kind == "slant":
-        m, n = family.dims
-        if m == 2:
-            return fo.slant_gamma_2xn(n, t, r)
-        return fo.slant_upper_bound(m, n, t, r)
-    if kind == "grid3d":
-        m, n, k = family.dims
-        if (m, n) == (2, 2) and (t, r) == (2, 1):
-            return fo.grid3d_2_2_k_gamma(k, t, r)
-        return _auto_grid3d_bound(m, n, k, t, r)[0]
-    if kind == "tree":
-        if decomposition is None:
-            raise _UsageError("tree gamma bound needs --decomposition")
-        return fo.tree_decomposition_bound(build(family), decomposition, t, r)
-    raise _UsageError(f"no formula dispatch for family {kind!r}")
-
-
-def _construct_for_family(family: GraphFamily, t: int, r: int) -> cons.PlacementPlan:
-    kind = family.kind
-    if kind == "path":
-        return cons.path_towers(family.dims[0], t, r)
-    if kind == "cycle":
-        return cons.cycle_towers(family.dims[0], t, r)
-    if kind == "grid":
-        return cons.grid_towers(*family.dims, t, r)
-    if kind == "king":
-        return cons.king_towers(*family.dims, t, r)
-    if kind == "slant":
-        m, n = family.dims
-        if m == 2:
-            return cons.slant_towers_2xn(n, t, r)
-        return cons.slant_tile_cover(m, n, t, r)
-    if kind == "grid3d":
-        m, n, k = family.dims
-        block = _auto_grid3d_bound(m, n, k, t, r)[1]
-        return cons.grid3d_cover(m, n, k, t, r, block)
-    raise _UsageError(f"no constructor for family {kind!r}")
-
-
-# --------------------------------------------------------------------------
-# audit rows
-
-@dataclass
-class ComparisonRow:
-    """One audited instance: formula vs construction vs oracle."""
-
-    instance: str
-    t: int
-    r: int
-    theorem_tag: str
-    kind: str
-    formula: int
-    constructed: Optional[int] = None
-    oracle: Optional[int] = None
-    status: str = "oracle-skipped"
-    note: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "instance": self.instance, "t": self.t, "r": self.r,
-            "theorem_tag": self.theorem_tag, "kind": self.kind,
-            "formula": self.formula, "constructed": self.constructed,
-            "oracle": self.oracle, "status": self.status, "note": self.note,
-        }
-
-
-def _finish_row(row: ComparisonRow) -> ComparisonRow:
-    if row.status == "construction-failed":
-        row.status = "MISMATCH"
-        return row
-    if row.oracle is None:
-        row.status = "oracle-skipped"
-        return row
-    if row.kind == fo.EXACT:
-        row.status = "match" if row.formula == row.oracle else "MISMATCH"
-    else:
-        delta = row.formula - row.oracle
-        if delta < 0:
-            row.status = "MISMATCH"
-            row.note = (row.note + " bound below oracle").strip()
-        elif delta == 0:
-            row.status = "match"
-        else:
-            row.status = f"bound-gap(+{delta})"
-    return row
-
-
-def _audit_instance(
-    family: GraphFamily,
-    t: int,
-    r: int,
-    result: fo.GammaResult,
-    plan: Optional[cons.PlacementPlan],
-    oracle_limit: int,
-    expect_count: bool = True,
-) -> ComparisonRow:
-    g = build(family)
-    row = ComparisonRow(
-        instance=family.describe(), t=t, r=r,
-        theorem_tag=result.theorem_tag, kind=result.kind, formula=result.value,
-    )
-    if plan is not None:
-        row.constructed = len(plan)
-        report = plan.verify(g)
-        if not report.dominated:
-            row.note = "constructed plan does not dominate"
-            row.status = "construction-failed"
-            return _finish_row(row)
-        if expect_count and result.kind == fo.EXACT and len(plan) != result.value:
-            row.note = f"constructed {len(plan)} towers, formula says {result.value}"
-            row.status = "construction-failed"
-            return _finish_row(row)
-        if not expect_count and len(plan) > result.value:
-            row.note = f"constructed {len(plan)} towers exceeds bound {result.value}"
-            row.status = "construction-failed"
-            return _finish_row(row)
-    if g.vertex_count <= oracle_limit:
-        # gamma is proven with or without the canonical witness phase.
-        row.oracle = solve(g, t, r, SolverConfig(canonical_witness=False)).gamma
-    return _finish_row(row)
-
-
-def _suite_paths(n_max: int, t_max: int, oracle_limit: int) -> List[ComparisonRow]:
-    rows = []
-    for t in range(1, t_max + 1):
-        for r in range(1, t + 1):
-            for n in range(1, n_max + 1):
-                family = GraphFamily.path(n)
-                rows.append(_audit_instance(
-                    family, t, r, fo.path_gamma(n, t, r),
-                    cons.path_towers(n, t, r), oracle_limit))
-    return rows
-
-
-def _suite_grids(oracle_limit: int, cell_cap: int = 27) -> List[ComparisonRow]:
-    rows = []
-    for m in (2, 3):
-        for t, r in ((2, 1), (3, 1), (3, 2)):
-            if 2 * t - r <= m - 1:
-                continue
-            width = fo.grid_block_width(m, t, r)
-            n = width
-            while m * n <= cell_cap:
-                family = GraphFamily.grid(m, n)
-                rows.append(_audit_instance(
-                    family, t, r, fo.grid_gamma(m, n, t, r),
-                    cons.grid_towers(m, n, t, r), oracle_limit))
-                n += 1
-    return rows
-
-
-def _suite_grid3d(oracle_limit: int) -> List[ComparisonRow]:
-    rows = []
-    for k in range(1, 6):
-        family = GraphFamily.grid3d(2, 2, k)
-        rows.append(_audit_instance(
-            family, 2, 1, fo.grid3d_2_2_k_gamma(k), None, oracle_limit))
-    for t in (2, 3):
-        for r in range(1, t + 1):
-            for block in fo.block3d_family(fo.block3d_sum(t, r), t, r):
-                if block.vertex_count() > 27:
-                    continue
-                claim = fo.GammaResult(2, fo.EXACT, "Thm4.4")
-                plan = cons.block3d_towers(block, t, r)
-                rows.append(_audit_instance(
-                    GraphFamily.grid3d(*block.dims), t, r, claim, plan, oracle_limit))
-    block = fo.block3d_dims("2x2", 2, 1)
-    for dims in ((2, 2, 5), (2, 4, 2), (4, 4, 4)):
-        bound = fo.grid3d_upper_bound(*dims, 2, 1, block)
-        plan = cons.grid3d_cover(*dims, 2, 1, block)
-        rows.append(_audit_instance(
-            GraphFamily.grid3d(*dims), 2, 1, bound, plan, oracle_limit,
-            expect_count=False))
-    return rows
-
-
-def _suite_king(t_max: int, oracle_limit: int, cell_cap: int = 30) -> List[ComparisonRow]:
-    rows = []
-    for t in range(2, t_max + 1):
-        for r in range(1, t):
-            for m in range(1, 2 * (t - r) + 2):
-                for n in range(1, cell_cap // m + 1):
-                    family = GraphFamily.king(m, n)
-                    rows.append(_audit_instance(
-                        family, t, r, fo.king_gamma(m, n, t, r),
-                        cons.king_towers(m, n, t, r), oracle_limit))
-    return rows
-
-
-def _suite_slant(n_max: int, t_max: int, oracle_limit: int) -> List[ComparisonRow]:
-    rows = []
-    for t in range(2, t_max + 1):
-        for r in range(1, t):
-            for n in range(1, n_max + 1):
-                family = GraphFamily.slant(2, n)
-                rows.append(_audit_instance(
-                    family, t, r, fo.slant_gamma_2xn(n, t, r),
-                    cons.slant_towers_2xn(n, t, r), oracle_limit))
-    for (t, r), tile in sorted(fo.SLANT_TILE_ROWS.items()):
-        for p in (1, 2):
-            for q in (1, 2):
-                for dl in (0, 1):
-                    for dk in (0, 1):
-                        m = tile.height * p + dl
-                        n = tile.width * q + dk
-                        bound = fo.slant_upper_bound(m, n, t, r)
-                        plan = cons.slant_tile_cover(m, n, t, r)
-                        rows.append(_audit_instance(
-                            GraphFamily.slant(m, n), t, r, bound, plan,
-                            oracle_limit, expect_count=False))
-    return rows
-
-
-_SUITES = ("paths", "grids", "grid3d", "king", "slant", "all")
-
-
-def run_audit(
-    suite: str,
-    n_max: int = 14,
-    t_max: int = 4,
-    oracle_limit: int = MAX_ORACLE_VERTICES,
-) -> List[ComparisonRow]:
-    rows: List[ComparisonRow] = []
-    if suite in ("paths", "all"):
-        rows += _suite_paths(n_max, t_max, oracle_limit)
-    if suite in ("grids", "all"):
-        rows += _suite_grids(oracle_limit)
-    if suite in ("grid3d", "all"):
-        rows += _suite_grid3d(oracle_limit)
-    if suite in ("king", "all"):
-        rows += _suite_king(min(t_max, 3), oracle_limit)
-    if suite in ("slant", "all"):
-        rows += _suite_slant(n_max, min(t_max, 3), oracle_limit)
-    rows.sort(key=lambda row: (row.instance, row.t, row.r, row.theorem_tag))
-    return rows
-
-
-def _format_rows(rows: Sequence[ComparisonRow]) -> str:
-    headers = ("instance", "t", "r", "tag", "kind", "formula", "built", "oracle", "status")
-    table = [headers]
-    for row in rows:
-        table.append((
-            row.instance, str(row.t), str(row.r), row.theorem_tag, row.kind,
-            str(row.formula),
-            "-" if row.constructed is None else str(row.constructed),
-            "-" if row.oracle is None else str(row.oracle),
-            row.status + (f"  [{row.note}]" if row.note else ""),
-        ))
-    widths = [max(len(line[i]) for line in table) for i in range(len(headers))]
-    lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)).rstrip()
-             for line in table]
-    return "\n".join(lines)
-
-
-# --------------------------------------------------------------------------
 # subcommand handlers
 
 def _cmd_gamma(args) -> int:
     family = _family_from_args(args)
     decomposition = _load_json_arg(args.decomposition) if args.decomposition else None
-    result = _gamma_for_family(family, args.t, args.r, decomposition)
+    result = gamma_for_family(family, args.t, args.r, decomposition)
     params = {"graph": family_to_json(family), "t": args.t, "r": args.r}
     if not args.exact:
         _emit(args, _wrap("gamma", params, {"result": result.to_json()}),
@@ -435,27 +118,22 @@ def _cmd_gamma(args) -> int:
               f"{'=' if result.kind == fo.EXACT else '<='} {result.value}"
               f"   [{result.theorem_tag}, {result.kind}]")
         return 0
-    g = build(family)
-    if g.vertex_count > args.max_oracle_vertices and not args.allow_large:
-        raise _UsageError(
-            f"{g.vertex_count} vertices exceeds --max-oracle-vertices="
-            f"{args.max_oracle_vertices}; pass --allow-large to override")
-    oracle = solve(g, args.t, args.r)
+    oracle = solve(_oracle_graph(args, family), args.t, args.r)
     row = ComparisonRow(
         instance=family.describe(), t=args.t, r=args.r,
         theorem_tag=result.theorem_tag, kind=result.kind,
         formula=result.value, oracle=oracle.gamma)
-    _finish_row(row)
+    finish_row(row)
     _emit(args, _wrap("gamma", params, {"result": result.to_json(),
                                         "oracle": oracle.to_json(),
                                         "comparison": row.to_json()}),
-          _format_rows([row]))
+          format_rows([row]))
     return 0 if row.status != "MISMATCH" else 3
 
 
 def _cmd_construct(args) -> int:
     family = _family_from_args(args)
-    plan = _construct_for_family(family, args.t, args.r)
+    plan = construct_for_family(family, args.t, args.r)
     report = plan.verify()
     payload = _wrap("construct",
                     {"graph": family_to_json(family), "t": args.t, "r": args.r},
@@ -505,11 +183,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_exact(args) -> int:
     family = _family_from_args(args)
-    g = build(family)
-    if g.vertex_count > args.max_oracle_vertices and not args.allow_large:
-        raise _UsageError(
-            f"{g.vertex_count} vertices exceeds --max-oracle-vertices="
-            f"{args.max_oracle_vertices}; pass --allow-large to override")
+    g = _oracle_graph(args, family)
     cfg = SolverConfig(
         max_cardinality=args.max_cardinality,
         canonical_witness=not args.no_canonical,
@@ -566,6 +240,8 @@ def _cmd_lattice(args) -> int:
 def _cmd_table(args) -> int:
     if args.all_rows:
         pairs = sorted(fo.SLANT_TILE_ROWS)
+    elif args.t is None or args.r is None:
+        raise _UsageError("need --t and --r (or --all-rows)")
     else:
         pairs = [(args.t, args.r)]
     entries = []
@@ -594,12 +270,8 @@ def _cmd_render(args) -> int:
     g = build(family)
     towers = _towers_from_arg(args.towers, args.t)
     text = render_reception(g, towers, col_start=args.col_start, max_cols=args.max_cols)
-    if args.json:
-        print(json.dumps(_wrap("render",
-                               {"graph": family_to_json(family), "t": towers.t},
-                               {"ascii": text.splitlines()}), indent=2))
-    else:
-        print(text)
+    _emit(args, _wrap("render", {"graph": family_to_json(family), "t": towers.t},
+                      {"ascii": text.splitlines()}), text)
     return 0
 
 
@@ -609,19 +281,19 @@ def _cmd_audit(args) -> int:
                      oracle_limit=oracle_limit)
     mismatches = sum(1 for row in rows if row.status == "MISMATCH")
     if args.csv:
-        import csv
+        import csv  # only audit --csv needs it; keeps CLI start-up lean
 
         with open(args.csv, "w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=list(rows[0].to_json()))
+            fields = [field.name for field in dataclasses.fields(ComparisonRow)]
+            writer = csv.DictWriter(handle, fieldnames=fields)
             writer.writeheader()
-            for row in rows:
-                writer.writerow(row.to_json())
+            writer.writerows(row.to_json() for row in rows)
     payload = _wrap("audit",
                     {"suite": args.suite, "n_max": args.n_max, "t_max": args.t_max,
                      "max_oracle_vertices": args.max_oracle_vertices},
                     {"rows": [row.to_json() for row in rows],
                      "mismatches": mismatches})
-    human = _format_rows(rows) + f"\n{len(rows)} rows, {mismatches} mismatch(es)"
+    human = format_rows(rows) + f"\n{len(rows)} rows, {mismatches} mismatch(es)"
     _emit(args, payload, human)
     return 3 if mismatches else 0
 
@@ -710,7 +382,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("audit", help="formula-vs-oracle sweep")
-    p.add_argument("--suite", choices=_SUITES, required=True)
+    p.add_argument("--suite", choices=SUITES, required=True)
     p.add_argument("--n-max", type=int, default=14)
     p.add_argument("--t-max", type=int, default=4)
     p.add_argument("--csv", help="also write the comparison rows to this CSV file")
@@ -723,9 +395,6 @@ def _build_parser() -> _Parser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "table" and not args.all_rows and (args.t is None or args.r is None):
-        print("trdom table: error: need --t and --r (or --all-rows)", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except (DominationError, OSError, json.JSONDecodeError) as exc:

@@ -48,7 +48,7 @@ from .graphs import (
     slant_lattice_distance,
     vertex_to_json,
 )
-from .reception import TowerSet, VerificationReport, verify
+from .reception import TowerSet, VerificationReport, report_from_sums, verify
 
 
 class UnsupportedR(DominationError):
@@ -377,6 +377,7 @@ def verify_lattice_window(
                 stencil.append((dx, dy, t - d))
     reach = inner + t - 1
     towers = pattern.towers_in_box(-reach, reach, -reach, reach)
+    # Filled in sorted key order, which the report lists vertices in.
     reception = {(vx, vy): 0 for vx in range(-inner, inner + 1)
                  for vy in range(-inner, inner + 1)}
     zones = dict(reception)
@@ -386,22 +387,7 @@ def verify_lattice_window(
             if v in reception:
                 reception[v] += signal
                 zones[v] += 1
-    deficient = tuple(sorted(v for v, f in reception.items() if f < r))
-    overlap = tuple(sorted(v for v, z in zones.items() if z >= 2))
-    dominated = not deficient
-    efficient = dominated and all(reception[v] == r for v in overlap)
-    return VerificationReport(
-        dominated=dominated,
-        min_reception=min(reception.values()),
-        deficient=deficient,
-        overlap_vertices=overlap,
-        efficient=efficient,
-        wasted_signal=sum(max(0, reception[v] - r) for v in overlap),
-        total_excess=sum(max(0, f - r) for f in reception.values()),
-        t=t,
-        r=r,
-        r_exceeds_t=r > t,
-    )
+    return report_from_sums(reception, zones, t, r)
 
 
 def _clamp(value: int, lo: int, hi: int) -> int:

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .graphs import DominationError, GraphInstance
+from .graphs import DominationError, GraphInstance, int_from_json
 
 EXACT = "exact-formula"
 UPPER = "upper-bound"
@@ -318,13 +318,17 @@ def tree_decomposition_bound(
             f"expected a tree or path instance, got {tree.family.kind}"
         )
     _require(t >= r >= 1, f"need t >= r >= 1, got t={t}, r={r}")
+    if not isinstance(decomposition, (list, tuple)):
+        raise NotAPathDecomposition(f"decomposition {decomposition!r} is not a list of parts")
     tree_edges = {
         frozenset((u, v)) for u in tree.vertices for v in tree.neighbors(u)
     }
     seen: set = set()
     total = 0
     for part in decomposition:
-        part = [int(v) for v in part]
+        if not isinstance(part, (list, tuple)):
+            raise NotAPathDecomposition(f"part {part!r} is not a list of vertices")
+        part = [int_from_json(v, "decomposition vertex", NotAPathDecomposition) for v in part]
         if len(part) < 2:
             raise NotAPathDecomposition(f"part {part} has no edges")
         if len(set(part)) != len(part):

@@ -48,7 +48,10 @@ class UnknownVertex(DominationError):
     """A vertex identifier does not belong to the graph."""
 
 
-FAMILY_KINDS = ("path", "cycle", "grid", "grid3d", "slant", "king", "tree")
+# Each family kind and the names of its dimensions; a tree is given by its
+# edge list instead.
+FAMILY_DIMS = {"path": ("n",), "cycle": ("n",), "grid": ("m", "n"), "grid3d": ("m", "n", "k"),
+               "slant": ("m", "n"), "king": ("m", "n"), "tree": ()}
 
 
 @dataclass(frozen=True)
@@ -329,14 +332,10 @@ def tree_graph(edges: Iterable[Sequence[int]]) -> GraphInstance:
     return build(GraphFamily.tree(edges))
 
 
-_DIM_NAMES = {"path": ("n",), "cycle": ("n",), "grid": ("m", "n"),
-              "slant": ("m", "n"), "king": ("m", "n"), "grid3d": ("m", "n", "k")}
-
-
 def family_to_json(family: GraphFamily) -> dict:
     if family.kind == "tree":
         return {"family": "tree", "edges": [list(e) for e in family.edges]}
-    names = _DIM_NAMES[family.kind]
+    names = FAMILY_DIMS[family.kind]
     out = {"family": family.kind}
     out.update(dict(zip(names, family.dims)))
     return out
@@ -349,11 +348,11 @@ def family_from_json(data: dict) -> GraphFamily:
         raise InvalidDimensions("graph JSON needs a 'family' key")
     if kind == "tree":
         return GraphFamily.tree(data.get("edges", []))
-    if not isinstance(kind, str) or kind not in _DIM_NAMES:
+    if not isinstance(kind, str) or kind not in FAMILY_DIMS:
         raise InvalidDimensions(f"unknown family {kind!r}")
     try:
         dims = tuple(int_from_json(data[name], f"{kind} dimension {name}", InvalidDimensions)
-                     for name in _DIM_NAMES[kind])
+                     for name in FAMILY_DIMS[kind])
     except KeyError as missing:
         raise InvalidDimensions(f"{kind} JSON is missing dimension {missing}")
     return GraphFamily(kind, dims)

@@ -142,21 +142,26 @@ def verify(g: GraphInstance, ts: TowerSet, r: int) -> VerificationReport:
     if r < 1:
         raise DominationError(f"required reception must be positive, got {r}")
     reception, zones = _accumulate(g, ts)
-    t = ts.t
-    deficient = tuple(v for v in g.vertices if reception[v] < r)
-    overlap = tuple(v for v in g.vertices if zones[v] >= 2)
+    return report_from_sums(reception, zones, ts.t, r)
+
+
+def report_from_sums(reception: Dict[Vertex, int], zones: Dict[Vertex, int],
+                     t: int, r: int) -> VerificationReport:
+    """The verdict for per-vertex signal sums and zone counts.
+
+    Deficient and overlap vertices are listed in the dicts' key order.
+    """
+    deficient = tuple(v for v, f in reception.items() if f < r)
+    overlap = tuple(v for v, z in zones.items() if z >= 2)
     dominated = not deficient
-    efficient = dominated and all(reception[v] == r for v in overlap)
-    wasted = sum(max(0, reception[v] - r) for v in overlap)
-    excess = sum(max(0, reception[v] - r) for v in g.vertices)
     return VerificationReport(
         dominated=dominated,
-        min_reception=min(reception.values()) if reception else 0,
+        min_reception=min(reception.values(), default=0),
         deficient=deficient,
         overlap_vertices=overlap,
-        efficient=efficient,
-        wasted_signal=wasted,
-        total_excess=excess,
+        efficient=dominated and all(reception[v] == r for v in overlap),
+        wasted_signal=sum(max(0, reception[v] - r) for v in overlap),
+        total_excess=sum(max(0, f - r) for f in reception.values()),
         t=t,
         r=r,
         r_exceeds_t=r > t,
@@ -166,3 +171,40 @@ def verify(g: GraphInstance, ts: TowerSet, r: int) -> VerificationReport:
 def broadcast_zone(g: GraphInstance, w: Vertex, t: int) -> frozenset:
     """Vertices within distance ``t - 1`` of tower ``w``."""
     return frozenset(g.ball(w, t - 1))
+
+
+def render_reception(
+    g: GraphInstance,
+    ts: TowerSet,
+    col_start: int = 1,
+    max_cols: int = 60,
+) -> str:
+    """ASCII reception grid: towers as ``T``, digits, ``+`` above 9.
+
+    Row 1 prints first.  Columns are windowed to ``max_cols`` starting
+    at ``col_start`` (1-based); 3D grids print one block per layer.
+    """
+    if col_start < 1 or max_cols < 1:
+        raise DominationError(
+            f"column window needs col_start >= 1 and max_cols >= 1, "
+            f"got {col_start} and {max_cols}")
+    rec = compute_reception(g, ts).reception
+    towers = set(ts.towers)
+
+    def cell(v) -> str:
+        if v in towers:
+            return "T"
+        f = rec[v]
+        return str(f) if f <= 9 else "+"
+
+    if g.family.kind in ("path", "cycle", "tree"):
+        return "".join(cell(v) for v in g.vertices[col_start - 1:col_start - 1 + max_cols])
+    m, n = g.family.dims[:2]
+    cols = range(col_start, min(n + 1, col_start + max_cols))
+    if g.family.kind == "grid3d":
+        blocks = []
+        for layer in range(1, g.family.dims[2] + 1):
+            rows = ["".join(cell((r, c, layer)) for c in cols) for r in range(1, m + 1)]
+            blocks.append(f"layer {layer}\n" + "\n".join(rows))
+        return "\n\n".join(blocks)
+    return "\n".join("".join(cell((r, c)) for c in cols) for r in range(1, m + 1))

@@ -48,7 +48,7 @@ from trdom import (
     verify_lattice_window,
 )
 from trdom.formulas import SLANT_TILE_ROWS
-from trdom.cli import run_audit
+from trdom.audit import run_audit
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

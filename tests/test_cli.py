@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trdom.cli import main, render_reception
-from trdom import (DominationError, GraphFamily, PlacementPlan, TowerSet, family_from_json,
-                   grid_graph, path_graph)
+from trdom.audit import CLAIMS
+from trdom.cli import main
+from trdom.graphs import FAMILY_DIMS
+from trdom.reception import render_reception
+from trdom import (BlockDims, DominationError, GraphFamily, PlacementPlan, TowerSet,
+                   cycle_towers, cycle_upper_bound, family_from_json, grid3d_2_2_k_gamma,
+                   grid3d_cover, grid3d_upper_bound, grid_gamma, grid_graph, grid_towers,
+                   king_gamma, king_towers, path_gamma, path_graph, path_towers,
+                   slant_gamma_2xn, slant_tile_cover, slant_towers_2xn, slant_upper_bound)
 
 
 REFERENCE_ROWS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
@@ -73,6 +79,40 @@ class TestConstructVerifyRoundTrip:
         data = json.loads(out)
         assert data["plan"]["towers"] == [[2, 2], [2, 5]]
         assert data["verification"]["dominated"] is True
+
+    @pytest.mark.parametrize(
+        "kind, dims, claim, plan",
+        [
+            ("path", ["--n", "9"], lambda: path_gamma(9, 2, 1), lambda: path_towers(9, 2, 1)),
+            ("cycle", ["--n", "9"], lambda: cycle_upper_bound(9, 2, 1),
+             lambda: cycle_towers(9, 2, 1)),
+            ("grid", ["--m", "3", "--n", "7"], lambda: grid_gamma(3, 7, 2, 1),
+             lambda: grid_towers(3, 7, 2, 1)),
+            ("grid3d", ["--m", "2", "--n", "2", "--k", "4"], lambda: grid3d_2_2_k_gamma(4),
+             lambda: grid3d_cover(2, 2, 4, 2, 1, BlockDims((2, 2, 2), theorem_tag="Thm4.4"))),
+            ("grid3d", ["--m", "2", "--n", "3", "--k", "4"],
+             lambda: grid3d_upper_bound(2, 3, 4, 2, 1, BlockDims((1, 2, 3), theorem_tag="Thm4.4")),
+             lambda: grid3d_cover(2, 3, 4, 2, 1, BlockDims((1, 2, 3), theorem_tag="Thm4.4"))),
+            ("slant", ["--m", "2", "--n", "8"], lambda: slant_gamma_2xn(8, 2, 1),
+             lambda: slant_towers_2xn(8, 2, 1)),
+            ("slant", ["--m", "4", "--n", "9"], lambda: slant_upper_bound(4, 9, 2, 1),
+             lambda: slant_tile_cover(4, 9, 2, 1)),
+            ("king", ["--m", "3", "--n", "6"], lambda: king_gamma(3, 6, 2, 1),
+             lambda: king_towers(3, 6, 2, 1)),
+        ],
+        ids=["path", "cycle", "grid", "grid3d-2x2xk", "grid3d", "slant-2xn", "slant", "king"],
+    )
+    def test_cli_gives_the_family_claim_and_construction(self, capsys, kind, dims, claim, plan):
+        argv = ["--family", kind, *dims, "--t", "2", "--r", "1", "--json"]
+        code, out, _ = run_cli(capsys, "gamma", *argv)
+        assert code == 0
+        assert json.loads(out)["result"] == claim().to_json()
+        code, out, _ = run_cli(capsys, "construct", *argv)
+        assert code == 0
+        assert json.loads(out)["plan"] == plan().to_json()
+
+    def test_registry_covers_every_family(self):
+        assert set(CLAIMS) == set(FAMILY_DIMS) - {"tree"}
 
     def test_verify_consumes_construct_output_unchanged(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "construct", "--family", "slant", "--m", "2",
@@ -222,6 +262,15 @@ class TestRender:
         text = render_reception(g, TowerSet((50,), 2), col_start=49, max_cols=4)
         assert text == "1T10"
 
+    @pytest.mark.parametrize("window", [["--col-start", "-2"], ["--max-cols", "0"]],
+                             ids=["col-start", "max-cols"])
+    def test_bad_column_window_exits_1(self, capsys, window):
+        code, out, err = run_cli(capsys, "render", "--family", "grid", "--m", "2", "--n", "3",
+                                 "--towers", "[[1,1]]", "--t", "2", *window)
+        assert code == 1
+        assert out == ""
+        assert "column window needs col_start >= 1 and max_cols >= 1" in err
+
 
 class TestAudit:
     def test_paths_suite_clean(self, capsys):
@@ -238,6 +287,15 @@ class TestAudit:
         assert [row["instance"] for row in mismatched] == ["grid3d(2, 2, 1)"]
         gaps = [row for row in data["rows"] if row["status"].startswith("bound-gap")]
         assert any(row["instance"] == "grid3d(2, 2, 5)" for row in gaps)
+
+    def test_empty_audit_writes_csv_header_only(self, capsys, tmp_path):
+        csv_file = tmp_path / "rows.csv"
+        code, out, _ = run_cli(capsys, "audit", "--suite", "paths", "--n-max", "0",
+                               "--csv", str(csv_file))
+        assert code == 0
+        assert "0 rows, 0 mismatch(es)" in out
+        assert csv_file.read_text().splitlines() == [
+            "instance,t,r,theorem_tag,kind,formula,constructed,oracle,status,note"]
 
     @pytest.mark.parametrize("suite", ["paths", "grids", "grid3d", "king", "slant"])
     def test_suite_matches_recorded_reference(self, capsys, suite):
@@ -266,25 +324,38 @@ def test_unknown_family_spec(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--graph", '{"family":"grid","m":"x","n":3}', "--towers", "[[1,1]]", "--t", "2"],
+        (["verify", "--graph", '{"family":"grid","m":"x","n":3}',
+          "--towers", "[[1,1]]", "--t", "2"],
          "grid dimension m must be an integer"),
-        (["--graph", '{"family":"grid","m":2,"n":3}', "--towers", '[[1,"a"]]', "--t", "2"],
+        (["verify", "--graph", '{"family":"grid","m":2,"n":3}',
+          "--towers", '[[1,"a"]]', "--t", "2"],
          "vertex coordinate must be an integer"),
-        (["--graph", '{"family":"path","n":5}', "--towers", '[{"v":1}]', "--t", "2"],
+        (["verify", "--graph", '{"family":"path","n":5}', "--towers", '[{"v":1}]', "--t", "2"],
          "vertex must be an integer"),
-        (["--graph", '{"family":"path","n":5}', "--towers", '{"t":"two","towers":[3]}'],
+        (["verify", "--graph", '{"family":"path","n":5}', "--towers", '{"t":"two","towers":[3]}'],
          "tower strength t must be an integer"),
-        (["--graph", '{"family":"path","n":5}', "--towers", '{"t":2,"towers":3}'],
+        (["verify", "--graph", '{"family":"path","n":5}', "--towers", '{"t":2,"towers":3}'],
          "'towers' must be a list"),
-        (["--graph", '{"family":"tree","edges":[[1,"b"]]}', "--towers", "[1]", "--t", "2"],
+        (["verify", "--graph", '{"family":"tree","edges":[[1,"b"]]}',
+          "--towers", "[1]", "--t", "2"],
          "tree edges must be integer pairs"),
-        (["--graph", '{"family":["grid"]}', "--towers", "[1]", "--t", "2"],
+        (["verify", "--graph", '{"family":["grid"]}', "--towers", "[1]", "--t", "2"],
          "unknown family"),
+        (["gamma", "--family", "tree", "--edges", "[[1,2],[2,3]]", "--t", "2",
+          "--decomposition", '[["a","b"]]'],
+         "decomposition vertex must be an integer"),
+        (["gamma", "--family", "tree", "--edges", "[[1,2],[2,3]]", "--t", "2",
+          "--decomposition", "[1]"],
+         "part 1 is not a list of vertices"),
+        (["gamma", "--family", "tree", "--edges", "[[1,2],[2,3]]", "--t", "2",
+          "--decomposition", '{"parts":[[1,2,3]]}'],
+         "is not a list of parts"),
     ],
-    ids=["dimension", "coordinate", "vertex", "strength", "tower-list", "tree-edge", "family"],
+    ids=["dimension", "coordinate", "vertex", "strength", "tower-list", "tree-edge", "family",
+         "decomposition-vertex", "decomposition-part", "decomposition"],
 )
 def test_bad_json_exits_1_with_message(capsys, argv, message):
-    code, out, err = run_cli(capsys, "verify", *argv, "--r", "1")
+    code, out, err = run_cli(capsys, *argv, "--r", "1")
     assert code == 1
     assert out == ""
     assert message in err
