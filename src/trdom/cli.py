@@ -290,7 +290,7 @@ def _cmd_audit(args) -> int:
             writer.writerows(row.to_json() for row in rows)
     payload = _wrap("audit",
                     {"suite": args.suite, "n_max": args.n_max, "t_max": args.t_max,
-                     "max_oracle_vertices": args.max_oracle_vertices},
+                     "max_oracle_vertices": oracle_limit},
                     {"rows": [row.to_json() for row in rows],
                      "mismatches": mismatches})
     human = format_rows(rows) + f"\n{len(rows)} rows, {mismatches} mismatch(es)"

@@ -35,6 +35,7 @@ from .formulas import (
     _orientations,
 )
 from .graphs import (
+    METRICS,
     DominationError,
     GraphFamily,
     GraphInstance,
@@ -44,8 +45,8 @@ from .graphs import (
     family_from_json,
     family_to_json,
     int_from_json,
-    king_distance,
     slant_lattice_distance,
+    stencil,
     vertex_to_json,
 )
 from .reception import TowerSet, VerificationReport, report_from_sums, verify
@@ -285,10 +286,13 @@ class LatticePattern:
         # alpha1 = (-1, 0), alpha2 = (1, 1): a*alpha1 + b*alpha2.
         return (b - a, b)
 
+    @property
+    def board(self) -> str:
+        """The box kind whose metric the pattern's lattice carries."""
+        return "slant" if self.kind == "triangular" else "king"
+
     def distance(self, p: LatticePoint, q: LatticePoint) -> int:
-        if self.kind == "triangular":
-            return slant_lattice_distance(p, q)
-        return king_distance(p, q)
+        return METRICS[self.board]((q[0] - p[0], q[1] - p[1]))
 
     def basis(self) -> Tuple[LatticePoint, LatticePoint]:
         origin = self.tower_at(0, 0)
@@ -354,8 +358,9 @@ def verify_lattice_window(
     t``) is exact because every tower within signal reach of it, inside
     the window or not, is included; the computation doubles as its own
     oracle since the lattice distances are closed forms.  Each tower adds
-    one precomputed signal stencil (its ball of radius t - 1), so the cost
-    is towers × ball size rather than interior size × towers.
+    the lattice's :func:`stencil` of radius t - 1, the same one that box
+    boards' balls use, so the cost is towers × ball size rather than
+    interior size × towers.
     """
     if pattern.t != t or pattern.r != r:
         raise HypothesisViolated(
@@ -369,12 +374,7 @@ def verify_lattice_window(
     # Both lattice metrics dominate Chebyshev distance, so every ball fits
     # in the (2t - 1)-square and every tower that reaches the interior
     # lies within t - 1 of it in each coordinate.
-    stencil = []
-    for dx in range(1 - t, t):
-        for dy in range(1 - t, t):
-            d = pattern.distance((0, 0), (dx, dy))
-            if d < t:
-                stencil.append((dx, dy, t - d))
+    signal = [(dx, dy, t - d) for dx, dy, d in stencil(pattern.board, t - 1, (t - 1, t - 1))]
     reach = inner + t - 1
     towers = pattern.towers_in_box(-reach, reach, -reach, reach)
     # Filled in sorted key order, which the report lists vertices in.
@@ -382,10 +382,10 @@ def verify_lattice_window(
                  for vy in range(-inner, inner + 1)}
     zones = dict(reception)
     for wx, wy in towers:
-        for dx, dy, signal in stencil:
+        for dx, dy, gain in signal:
             v = (wx + dx, wy + dy)
             if v in reception:
-                reception[v] += signal
+                reception[v] += gain
                 zones[v] += 1
     return report_from_sums(reception, zones, t, r)
 

@@ -38,7 +38,6 @@ from .graphs import DominationError, GraphInstance, int_from_json
 
 EXACT = "exact-formula"
 UPPER = "upper-bound"
-ORACLE = "oracle-exact"
 
 
 class HypothesisViolated(DominationError):

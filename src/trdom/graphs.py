@@ -14,19 +14,24 @@ diagonals.  Infinite-lattice helpers (:func:`king_distance`,
 :func:`slant_lattice_distance`) work on signed ``(x, y)`` pairs anchored
 at the origin.
 
-Distances use a closed form where one is exact (paths, cycles, grids,
-slant grids, king's grids) and breadth-first search for trees.  Signal
-is evaluated over depth-bounded balls (:meth:`GraphInstance.ball`), so
-its cost grows with the ball, not with the graph.  Nothing is cached:
-instances are immutable after :func:`build`, so concurrent reads are
-safe.
+Every family but the tree is a box board, and every box board is
+metrically convex: a shortest path between two of its vertices stays in
+the box.  So its distance is a closed form (:data:`METRICS`), and the
+ball a tower reaches is the kind's offset :func:`stencil` moved to the
+tower and clipped to the box.  Box boards hold no adjacency; only trees
+do, and only trees run a breadth-first search.  Signal is evaluated over
+balls (:meth:`GraphInstance.ball`), so its cost grows with the ball, not
+with the graph.  Instances are immutable after :func:`build` and the
+stencil cache holds immutable tuples, so concurrent reads are safe.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Sequence, Tuple, Union
+from functools import lru_cache
+from itertools import product
+from operator import sub
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple, Union
 
 Vertex = Union[int, Tuple[int, int], Tuple[int, int, int]]
 LatticePoint = Tuple[int, int]
@@ -102,87 +107,91 @@ class GraphFamily:
 
 @dataclass
 class GraphInstance:
-    """A concrete finite graph with adjacency and distance access.
+    """A concrete finite graph with membership, ball and distance access.
 
-    Adjacency is symmetric and irreflexive and the graph is connected;
-    both are guaranteed by :func:`build`.  Vertices are kept in
-    row-major order, which every deterministic ordering in the package
-    (solver branching, canonical witnesses) relies on.
+    Only a tree holds an ``adjacency`` (symmetric and irreflexive); box
+    boards answer from :func:`stencil` and :data:`METRICS`.  Vertices are
+    kept in row-major order, which solver branching and canonical
+    witnesses rely on.
     """
 
     family: GraphFamily
     vertices: Tuple[Vertex, ...]
-    adjacency: Dict[Vertex, FrozenSet[Vertex]]
+    members: FrozenSet[Vertex]
+    adjacency: Optional[Dict[Vertex, FrozenSet[Vertex]]] = None
 
     @property
     def vertex_count(self) -> int:
         return len(self.vertices)
 
-    @property
-    def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency.values()) // 2
-
     def has_vertex(self, v: Vertex) -> bool:
-        return v in self.adjacency
+        return v in self.members
 
     def require_vertex(self, v: Vertex) -> None:
-        if v not in self.adjacency:
+        if v not in self.members:
             raise UnknownVertex(f"{v!r} is not a vertex of {self.family.describe()}")
 
     def neighbors(self, v: Vertex) -> FrozenSet[Vertex]:
-        self.require_vertex(v)
-        return self.adjacency[v]
+        """The vertices at distance 1: the radius-1 ball minus ``v``."""
+        return frozenset(self.ball(v, 1)).difference((v,))
 
     def ball(self, source: Vertex, radius: int) -> Dict[Vertex, int]:
         """Distances from ``source`` to every vertex within ``radius``.
 
-        A breadth-first search that stops after ``radius`` levels; a
-        tower of strength ``t`` reaches exactly ``ball(w, t - 1)``.  The
-        ball is empty for a negative radius.
+        A tower of strength ``t`` reaches exactly ``ball(w, t - 1)``; the
+        ball is empty for a negative radius.  On a box board it is the
+        kind's stencil moved to ``source`` and clipped to the box (taken
+        modulo n on a cycle).  The stencil spans at most the box's extent
+        on each side, so even a huge radius costs O(2^dim V).  On a tree
+        it is a breadth-first search that stops after ``radius`` levels.
         """
         self.require_vertex(source)
         if radius < 0:
             return {}
-        adjacency = self.adjacency
-        dist = {source: 0}
-        frontier = [source]
-        for d in range(1, radius + 1):
-            nxt = []
-            for u in frontier:
-                for w in adjacency[u]:
-                    if w not in dist:
-                        dist[w] = d
-                        nxt.append(w)
-            if not nxt:
-                break
-            frontier = nxt
-        return dist
+        if self.adjacency is not None:
+            dist = {source: 0}
+            frontier = [source]
+            for d in range(1, radius + 1):
+                nxt = []
+                for u in frontier:
+                    for w in self.adjacency[u]:
+                        if w not in dist:
+                            dist[w] = d
+                            nxt.append(w)
+                if not nxt:
+                    break
+                frontier = nxt
+            return dist
+        kind, dims = self.family.kind, self.family.dims
+        offsets = _box_stencil(kind, radius, dims)
+        if kind == "cycle":
+            (n,) = dims
+            return {(source + dx - 1) % n + 1: d for dx, d in offsets}
+        if kind == "path":
+            (n,) = dims
+            return {source + dx: d for dx, d in offsets if 0 < source + dx <= n}
+        if len(dims) == 2:
+            (r, c), (m, n) = source, dims
+            return {(r + dr, c + dc): d for dr, dc, d in offsets
+                    if 0 < r + dr <= m and 0 < c + dc <= n}
+        (r, c, l), (m, n, k) = source, dims
+        return {(r + dr, c + dc, l + dl): d for dr, dc, dl, d in offsets
+                if 0 < r + dr <= m and 0 < c + dc <= n and 0 < l + dl <= k}
 
     def distances_from(self, source: Vertex) -> Dict[Vertex, int]:
-        """All shortest-path lengths from ``source``, by a full BFS."""
+        """All shortest-path lengths from ``source``: closed forms or a tree's BFS."""
         return self.ball(source, len(self.vertices))
 
     def distance(self, u: Vertex, v: Vertex) -> int:
-        """Shortest-path distance, via closed form where one is exact."""
+        """Shortest-path distance: the kind's metric, or BFS on a tree."""
         self.require_vertex(u)
         self.require_vertex(v)
         kind = self.family.kind
-        if kind == "path":
-            return abs(u - v)
-        if kind == "cycle":
-            n = self.family.dims[0]
-            d = abs(u - v)
-            return min(d, n - d)
-        if kind == "grid":
-            return abs(u[0] - v[0]) + abs(u[1] - v[1])
-        if kind == "grid3d":
-            return sum(abs(a - b) for a, b in zip(u, v))
-        if kind == "slant":
-            return slant_lattice_distance(u, v)
-        if kind == "king":
-            return king_distance(u, v)
-        # Trees have no closed form; tests assert the others agree with BFS.
-        return self.distances_from(u)[v]
+        if kind == "tree":
+            return self.distances_from(u)[v]
+        offset = tuple(map(sub, v, u)) if isinstance(u, tuple) else (v - u,)
+        d = METRICS[kind](offset)
+        return min(d, self.family.dims[0] - d) if kind == "cycle" else d
 
 
 def slant_lattice_distance(p: LatticePoint, q: LatticePoint) -> int:
@@ -193,16 +202,53 @@ def slant_lattice_distance(p: LatticePoint, q: LatticePoint) -> int:
     diagonal (Chebyshev cost) while opposing components pay the full
     Manhattan cost.
     """
-    dx = q[0] - p[0]
-    dy = q[1] - p[1]
-    if dx * dy > 0:
-        return max(abs(dx), abs(dy))
-    return abs(dx) + abs(dy)
+    return METRICS["slant"]((q[0] - p[0], q[1] - p[1]))
 
 
 def king_distance(p: LatticePoint, q: LatticePoint) -> int:
     """Chebyshev distance max(|dx|, |dy|) on the infinite king's lattice."""
-    return max(abs(q[0] - p[0]), abs(q[1] - p[1]))
+    return METRICS["king"]((q[0] - p[0], q[1] - p[1]))
+
+
+def _manhattan(offset: Tuple[int, ...]) -> int:
+    return sum(map(abs, offset))
+
+
+def _chebyshev(offset: Tuple[int, ...]) -> int:
+    return max(map(abs, offset))
+
+
+def _slant(offset: Tuple[int, ...]) -> int:
+    dx, dy = offset
+    return max(abs(dx), abs(dy)) if dx * dy > 0 else abs(dx) + abs(dy)
+
+
+# Each box kind's metric on a displacement (a 1-tuple for paths and
+# cycles); a cycle also takes the shorter way round.  Box boards are
+# metrically convex, so this is the graph distance inside the box.
+METRICS = {"path": _manhattan, "cycle": _manhattan, "grid": _manhattan, "grid3d": _manhattan,
+           "slant": _slant, "king": _chebyshev}
+
+
+@lru_cache(maxsize=256)
+def stencil(kind: str, radius: int, extents: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+    """Every offset within ``radius`` of the origin under ``kind``'s metric.
+
+    Each entry is the offset's coordinates followed by its distance, in
+    lexicographic order.  Coordinate i is scanned over ``[-extents[i],
+    extents[i]]`` only, so callers clip it to the box they serve.
+    """
+    metric = METRICS[kind]
+    offsets = product(*(range(-e, e + 1) for e in extents))
+    return tuple(o + (metric(o),) for o in offsets if metric(o) <= radius)
+
+
+@lru_cache(maxsize=1024)
+def _box_stencil(kind: str, radius: int, dims: Tuple[int, ...]) -> tuple:
+    """The stencil of a radius-``radius`` ball on a ``dims`` box, each
+    coordinate clipped to the farthest offset the box can hold."""
+    reach = tuple(d // 2 if kind == "cycle" else d - 1 for d in dims)
+    return stencil(kind, radius, tuple(min(e, radius) for e in reach))
 
 
 def _check_dims(family: GraphFamily, count: int, minimum: int = 1) -> Tuple[int, ...]:
@@ -235,16 +281,6 @@ def _tree_adjacency(family: GraphFamily) -> Dict[Vertex, set]:
             raise DisconnectedTree(f"bad tree edge ({a}, {b})")
         adj[a].add(b)
         adj[b].add(a)
-    seen = {1}
-    queue = deque([1])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    if len(seen) != n:
-        raise DisconnectedTree("edge list is not connected")
     return adj
 
 
@@ -256,52 +292,22 @@ def build(family: GraphFamily) -> GraphInstance:
     edge list is not a tree.
     """
     kind = family.kind
-    adj: Dict[Vertex, set]
-    if kind == "path":
-        (n,) = _check_dims(family, 1)
-        adj = {i: set() for i in range(1, n + 1)}
-        for i in range(1, n):
-            adj[i].add(i + 1)
-            adj[i + 1].add(i)
-    elif kind == "cycle":
-        (n,) = _check_dims(family, 1, minimum=3)
-        adj = {i: set() for i in range(1, n + 1)}
-        for i in range(1, n + 1):
-            j = i % n + 1
-            adj[i].add(j)
-            adj[j].add(i)
-    elif kind in ("grid", "slant", "king"):
-        m, n = _check_dims(family, 2)
-        adj = {(r, c): set() for r in range(1, m + 1) for c in range(1, n + 1)}
-        diagonals = {"grid": (), "slant": ((1, 1),), "king": ((1, 1), (1, -1))}[kind]
-        steps = ((0, 1), (1, 0)) + diagonals
-        for r, c in list(adj):
-            for dr, dc in steps:
-                w = (r + dr, c + dc)
-                if w in adj:
-                    adj[(r, c)].add(w)
-                    adj[w].add((r, c))
-    elif kind == "grid3d":
-        m, n, k = _check_dims(family, 3)
-        adj = {
-            (r, c, l): set()
-            for r in range(1, m + 1)
-            for c in range(1, n + 1)
-            for l in range(1, k + 1)
-        }
-        for r, c, l in list(adj):
-            for w in ((r + 1, c, l), (r, c + 1, l), (r, c, l + 1)):
-                if w in adj:
-                    adj[(r, c, l)].add(w)
-                    adj[w].add((r, c, l))
-    elif kind == "tree":
+    if kind == "tree":
         adj = _tree_adjacency(family)
-    else:
+        vertices = tuple(sorted(adj))
+        tree = GraphInstance(family, vertices, frozenset(vertices),
+                             {v: frozenset(adj[v]) for v in vertices})
+        if len(tree.ball(1, len(vertices))) != len(vertices):
+            raise DisconnectedTree("edge list is not connected")
+        return tree
+    if kind not in FAMILY_DIMS:
         raise InvalidDimensions(f"unknown family kind {kind!r}")
-
-    vertices = tuple(sorted(adj))
-    frozen = {v: frozenset(adj[v]) for v in vertices}
-    return GraphInstance(family=family, vertices=vertices, adjacency=frozen)
+    dims = _check_dims(family, len(FAMILY_DIMS[kind]), minimum=3 if kind == "cycle" else 1)
+    if len(dims) == 1:
+        vertices = tuple(range(1, dims[0] + 1))
+    else:
+        vertices = tuple(product(*(range(1, d + 1) for d in dims)))
+    return GraphInstance(family, vertices, frozenset(vertices))
 
 
 def path_graph(n: int) -> GraphInstance:

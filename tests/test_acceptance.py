@@ -49,6 +49,7 @@ from trdom import (
 )
 from trdom.formulas import SLANT_TILE_ROWS
 from trdom.audit import run_audit
+from step_bfs import bfs_distances, step_adjacency
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -252,18 +253,16 @@ def test_criterion_6_lattice_windows():
 
 def test_criterion_7_distance_closed_forms():
     king = king_graph(7, 7)
+    adj = step_adjacency(king)
     for u in king.vertices:
-        bfs = king.distances_from(u)
+        bfs = bfs_distances(adj, u)
         for v in king.vertices:
-            assert bfs[v] == king_distance(u, v)
-    slant = slant_graph(7, 7)
-    for u in slant.vertices:
-        bfs = slant.distances_from(u)
-        for v in slant.vertices:
-            assert bfs[v] == slant.distance(u, v)
-    for g in (grid_graph(5, 6), grid3d_graph(3, 3, 3)):
+            assert bfs[v] == king_distance(u, v) == king.distance(u, v)
+    for g in (slant_graph(7, 7), grid_graph(5, 6), grid3d_graph(3, 3, 3)):
+        adj = step_adjacency(g)
         for u in g.vertices:
-            bfs = g.distances_from(u)
+            bfs = bfs_distances(adj, u)
+            assert g.distances_from(u) == bfs
             for v in g.vertices:
                 assert bfs[v] == g.distance(u, v)
     _report(7, "closed-form distances equal BFS", True,

@@ -149,6 +149,15 @@ class TestConstructVerifyRoundTrip:
         report = json.loads(out)["report"]
         assert report["dominated"] and report["efficient"]
 
+    def test_verify_tower_far_stronger_than_the_board(self, capsys):
+        code, out, _ = run_cli(capsys, "verify",
+                               "--graph", '{"family":"grid","m":3,"n":300}',
+                               "--towers", "[[2,150]]", "--t", "100000000", "--r", "1",
+                               "--json")
+        assert code == 0
+        report = json.loads(out)["report"]
+        assert report["dominated"] and report["min_reception"] == 100000000 - 151
+
 
 class TestExact:
     def test_exact_json(self, capsys):
@@ -248,6 +257,12 @@ class TestRender:
         assert code == 0
         assert out.splitlines()[:2] == ["T11", "11T"]
 
+    def test_tower_far_stronger_than_the_board(self, capsys):
+        code, out, _ = run_cli(capsys, "render", "--family", "slant", "--m", "3", "--n", "3",
+                               "--towers", "[[2,2]]", "--t", "100000000")
+        assert code == 0
+        assert out.splitlines() == ["+++", "+T+", "+++"]
+
     def test_render_function_values(self):
         g = grid_graph(2, 3)
         text = render_reception(g, TowerSet(((1, 1), (2, 3)), 2))
@@ -296,6 +311,14 @@ class TestAudit:
         assert "0 rows, 0 mismatch(es)" in out
         assert csv_file.read_text().splitlines() == [
             "instance,t,r,theorem_tag,kind,formula,constructed,oracle,status,note"]
+
+    @pytest.mark.parametrize("flags, limit", [((), 30), (("--max-oracle-vertices", "12"), 12),
+                                              (("--allow-large",), 10**9)])
+    def test_json_reports_the_oracle_limit_in_force(self, capsys, flags, limit):
+        code, out, _ = run_cli(capsys, "audit", "--suite", "paths", "--n-max", "4",
+                               "--t-max", "2", "--json", *flags)
+        assert code == 0
+        assert json.loads(out)["params"]["max_oracle_vertices"] == limit
 
     @pytest.mark.parametrize("suite", ["paths", "grids", "grid3d", "king", "slant"])
     def test_suite_matches_recorded_reference(self, capsys, suite):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,24 +23,32 @@ from trdom import (
     slant_lattice_distance,
     tree_graph,
 )
+from step_bfs import bfs_distances, step_adjacency
+
+
+def _edges_via_neighbors(g):
+    """Edge count from ``neighbors``, after checking it against the unit steps."""
+    adj = step_adjacency(g)
+    assert {v: g.neighbors(v) for v in g.vertices} == adj
+    return sum(len(nbrs) for nbrs in adj.values()) // 2
 
 
 def test_grid_2x3_counts():
     g = grid_graph(2, 3)
     assert g.vertex_count == 6
-    assert g.edge_count == 7
+    assert _edges_via_neighbors(g) == 7
 
 
 def test_king_2x2_is_complete():
     g = king_graph(2, 2)
     assert g.vertex_count == 4
-    assert g.edge_count == 6
+    assert _edges_via_neighbors(g) == 6
 
 
 def test_slant_2x2_single_diagonal():
     g = slant_graph(2, 2)
     assert g.vertex_count == 4
-    assert g.edge_count == 5
+    assert _edges_via_neighbors(g) == 5
     assert (2, 2) in g.neighbors((1, 1))
     assert (2, 1) not in g.neighbors((1, 2))
 
@@ -46,10 +56,15 @@ def test_slant_2x2_single_diagonal():
 def test_edge_counts_scale_with_dims():
     m, n = 4, 6
     grid_edges = m * (n - 1) + n * (m - 1)
-    assert grid_graph(m, n).edge_count == grid_edges
-    assert slant_graph(m, n).edge_count == grid_edges + (m - 1) * (n - 1)
-    assert king_graph(m, n).edge_count == grid_edges + 2 * (m - 1) * (n - 1)
-    assert grid3d_graph(2, 3, 4).vertex_count == 24
+    assert _edges_via_neighbors(grid_graph(m, n)) == grid_edges
+    assert _edges_via_neighbors(slant_graph(m, n)) == grid_edges + (m - 1) * (n - 1)
+    assert _edges_via_neighbors(king_graph(m, n)) == grid_edges + 2 * (m - 1) * (n - 1)
+    g = grid3d_graph(2, 3, 4)
+    assert g.vertex_count == 24
+    assert _edges_via_neighbors(g) == 3 * 4 + 2 * 2 * 4 + 2 * 3 * 3
+    assert _edges_via_neighbors(path_graph(7)) == 6
+    assert _edges_via_neighbors(cycle_graph(7)) == 7
+    assert _edges_via_neighbors(cycle_graph(3)) == 3
 
 
 def test_distance_examples():
@@ -74,17 +89,15 @@ def test_slant_lattice_distance():
 
 def test_lattice_distances_match_bfs_windows():
     # Center a 9x9 window at the origin: lattice (x, y) -> (row y+5, col x+5).
-    king = king_graph(9, 9)
-    slant = slant_graph(9, 9)
+    king = step_adjacency(king_graph(9, 9))
+    slant = step_adjacency(slant_graph(9, 9))
     pts = [(0, 0), (3, 1), (-2, 3), (1, -4), (4, 4), (-3, -3), (2, -2)]
     for p in pts:
+        king_bfs = bfs_distances(king, (p[1] + 5, p[0] + 5))
+        slant_bfs = bfs_distances(slant, (p[1] + 5, p[0] + 5))
         for q in pts:
-            assert king_distance(p, q) == king.distance(
-                (p[1] + 5, p[0] + 5), (q[1] + 5, q[0] + 5)
-            )
-            assert slant_lattice_distance(p, q) == slant.distance(
-                (p[1] + 5, p[0] + 5), (q[1] + 5, q[0] + 5)
-            )
+            assert king_distance(p, q) == king_bfs[(q[1] + 5, q[0] + 5)]
+            assert slant_lattice_distance(p, q) == slant_bfs[(q[1] + 5, q[0] + 5)]
 
 
 @pytest.mark.parametrize(
@@ -100,8 +113,10 @@ def test_lattice_distances_match_bfs_windows():
     ids=lambda g: g.family.describe(),
 )
 def test_closed_forms_equal_bfs_everywhere(g):
+    adj = step_adjacency(g)
     for u in g.vertices:
-        bfs = g.distances_from(u)
+        bfs = bfs_distances(adj, u)
+        assert g.distances_from(u) == bfs
         for v in g.vertices:
             assert g.distance(u, v) == bfs[v]
 
@@ -122,12 +137,15 @@ def test_distance_is_a_metric(g):
 
 
 def test_adjacency_symmetric_irreflexive_connected():
-    for g in (path_graph(5), slant_graph(3, 3), king_graph(2, 4), grid3d_graph(2, 2, 2)):
-        for v, nbrs in g.adjacency.items():
+    for g in (path_graph(5), cycle_graph(4), slant_graph(3, 3), king_graph(2, 4),
+              grid3d_graph(2, 2, 2), tree_graph([[1, 2], [2, 3], [2, 4]])):
+        adj = {v: g.neighbors(v) for v in g.vertices}
+        assert adj == step_adjacency(g)
+        for v, nbrs in adj.items():
             assert v not in nbrs
             for w in nbrs:
-                assert v in g.adjacency[w]
-        reach = g.distances_from(g.vertices[0])
+                assert v in adj[w]
+        reach = bfs_distances(adj, g.vertices[0])
         assert len(reach) == g.vertex_count
 
 
@@ -144,14 +162,12 @@ def test_adjacency_symmetric_irreflexive_connected():
     ids=lambda g: g.family.describe(),
 )
 def test_closed_forms_equal_bfs_at_600_vertices(g):
-    # King's grids route distance() through BFS, so check the Chebyshev
-    # closed form against it explicitly there.
-    is_king = g.family.kind == "king"
+    adj = step_adjacency(g)
     for u in g.vertices:
-        bfs = g.distances_from(u)
+        bfs = bfs_distances(adj, u)
+        assert g.distances_from(u) == bfs
         for v in g.vertices:
-            closed = king_distance(u, v) if is_king else g.distance(u, v)
-            assert closed == bfs[v]
+            assert g.distance(u, v) == bfs[v]
 
 
 @given(
@@ -163,10 +179,25 @@ def test_closed_forms_equal_bfs_at_600_vertices(g):
 def test_random_2d_closed_form_matches_bfs(m, n, kind):
     g = build(GraphFamily(kind, (m, n)))
     vs = g.vertices
+    adj = step_adjacency(g)
     for u in vs[:: max(1, len(vs) // 4)]:
-        bfs = g.distances_from(u)
+        bfs = bfs_distances(adj, u)
+        assert g.distances_from(u) == bfs
         for v in vs:
             assert g.distance(u, v) == bfs[v]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [path_graph(3000), cycle_graph(2999), king_graph(3, 400), slant_graph(3, 3),
+     grid3d_graph(2, 3, 4)],
+    ids=lambda g: g.family.describe(),
+)
+def test_ball_beyond_the_board_is_the_whole_board(g):
+    # A radius past the diameter must clip to the box, never scan a
+    # (2R + 1)^dim stencil.
+    for w in (g.vertices[0], g.vertices[len(g.vertices) // 2], g.vertices[-1]):
+        assert g.ball(w, 10**8) == {v: g.distance(w, v) for v in g.vertices}
 
 
 def test_invalid_dimensions():
@@ -187,9 +218,27 @@ def test_tree_validation():
     with pytest.raises(DisconnectedTree):
         tree_graph([[1, 2], [2, 3], [3, 1]])  # cycle
     with pytest.raises(DisconnectedTree):
+        tree_graph([[1, 2], [2, 3], [3, 1], [4, 5]])  # n - 1 edges, a cycle and a component
+    with pytest.raises(DisconnectedTree):
         tree_graph([])
     with pytest.raises(DisconnectedTree):
         tree_graph([[1, 3]])  # label gap
+    # k chained 4-cycles (1 + 3k labels, 4k edges) plus k lone edges make
+    # n = 1 + 5k labels and n - 1 edges.  A connectivity search that let
+    # two frontier vertices both add a shared neighbour would double its
+    # copies at every 4-cycle: 2^k of them after the last one.
+    k = 22
+    edges = []
+    for i in range(k):
+        a, b, c, nxt = 3 * i + 1, 3 * i + 2, 3 * i + 3, 3 * i + 4
+        edges += [[a, b], [a, c], [b, nxt], [c, nxt]]
+    base = 3 * k + 1
+    edges += [[base + 2 * i + 1, base + 2 * i + 2] for i in range(k)]
+    assert len(edges) == base + 2 * k - 1
+    start = time.perf_counter()
+    with pytest.raises(DisconnectedTree, match="not connected"):
+        tree_graph(edges)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_unknown_vertex():

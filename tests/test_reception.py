@@ -20,6 +20,7 @@ from trdom import (
     solve,
     verify,
 )
+from step_bfs import bfs_distances, step_adjacency
 
 
 def test_reception_path3_center_tower():
@@ -161,7 +162,8 @@ _FAMILIES = st.one_of(
 
 def _reference_report(g, towers, t, r):
     """The defining sums over full BFS distance vectors, written out directly."""
-    full = [g.distances_from(w) for w in towers]
+    adj = step_adjacency(g)
+    full = [bfs_distances(adj, w) for w in towers]
     reception = {v: sum(max(0, t - dist[v]) for dist in full) for v in g.vertices}
     zones = {v: sum(1 for dist in full if dist[v] <= t - 1) for v in g.vertices}
     deficient = tuple(v for v in g.vertices if reception[v] < r)
@@ -185,8 +187,10 @@ def _reference_report(g, towers, t, r):
 @settings(max_examples=150, deadline=None)
 def test_ball_kernel_matches_full_bfs(data, family, t):
     g = build(family)
+    adj = step_adjacency(g)
     for w in g.vertices:
-        full = g.distances_from(w)
+        full = bfs_distances(adj, w)
+        assert g.distances_from(w) == full
         assert g.ball(w, t - 1) == {v: d for v, d in full.items() if d < t}
     towers = tuple(data.draw(st.lists(st.sampled_from(g.vertices), unique=True, max_size=6)))
     r = data.draw(st.integers(min_value=1, max_value=t + 1))
