@@ -13,14 +13,12 @@ tracer that rebinds those attributes sees every call made from here.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import constructions as cons
 from . import formulas as fo
 from . import graphs, solver
-from .graphs import DominationError, GraphFamily
+from .graphs import DominationError, GraphFamily, Record
 
 MAX_ORACLE_VERTICES = 30
 
@@ -81,23 +79,24 @@ def construct_for_family(family: GraphFamily, t: int, r: int) -> cons.PlacementP
 # --------------------------------------------------------------------------
 # audit rows
 
-@dataclass
-class ComparisonRow:
+# A row's fields in order: its JSON keys and the ``audit --csv`` columns.
+ROW_FIELDS = ("instance", "t", "r", "theorem_tag", "kind", "formula", "constructed", "oracle",
+              "status", "note")
+
+
+class ComparisonRow(Record):
     """One audited instance: formula vs construction vs oracle."""
 
-    instance: str
-    t: int
-    r: int
-    theorem_tag: str
-    kind: str
-    formula: int
-    constructed: Optional[int] = None
-    oracle: Optional[int] = None
-    status: str = "oracle-skipped"
-    note: str = ""
+    __slots__ = ROW_FIELDS
+
+    def __init__(self, instance: str, t: int, r: int, theorem_tag: str, kind: str, formula: int,
+                 constructed: Optional[int] = None, oracle: Optional[int] = None,
+                 status: str = "oracle-skipped", note: str = ""):
+        super().__init__(instance, t, r, theorem_tag, kind, formula, constructed, oracle, status,
+                         note)
 
     def to_json(self) -> dict:
-        return dataclasses.asdict(self)
+        return {name: getattr(self, name) for name in ROW_FIELDS}
 
 
 def finish_row(row: ComparisonRow) -> ComparisonRow:

@@ -12,7 +12,6 @@ summary by default; ``--json`` switches to machine format.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import Optional, Sequence
@@ -20,8 +19,8 @@ from typing import Optional, Sequence
 from . import __version__
 from . import constructions as cons
 from . import formulas as fo
-from .audit import (MAX_ORACLE_VERTICES, SUITES, ComparisonRow, construct_for_family, finish_row,
-                    format_rows, gamma_for_family, run_audit)
+from .audit import (MAX_ORACLE_VERTICES, ROW_FIELDS, SUITES, ComparisonRow, construct_for_family,
+                    finish_row, format_rows, gamma_for_family, run_audit)
 from .graphs import (FAMILY_DIMS, DominationError, GraphFamily, GraphInstance, build,
                      family_from_json, family_to_json, vertex_from_json, vertex_to_json)
 from .reception import TowerSet, render_reception, verify
@@ -284,8 +283,7 @@ def _cmd_audit(args) -> int:
         import csv  # only audit --csv needs it; keeps CLI start-up lean
 
         with open(args.csv, "w", newline="") as handle:
-            fields = [field.name for field in dataclasses.fields(ComparisonRow)]
-            writer = csv.DictWriter(handle, fieldnames=fields)
+            writer = csv.DictWriter(handle, fieldnames=ROW_FIELDS)
             writer.writeheader()
             writer.writerows(row.to_json() for row in rows)
     payload = _wrap("audit",

@@ -14,8 +14,7 @@ placements quoted in (col, row) order elsewhere are normalized here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .formulas import (
     BlockDims,
@@ -37,6 +36,7 @@ from .formulas import (
 from .graphs import (
     METRICS,
     DominationError,
+    FrozenRecord,
     GraphFamily,
     GraphInstance,
     LatticePoint,
@@ -60,15 +60,14 @@ class WindowTooSmall(DominationError):
     """The verification window cannot isolate boundary effects."""
 
 
-@dataclass(frozen=True)
-class PlacementPlan:
+class PlacementPlan(FrozenRecord):
     """A tower placement tied to the claim that produced it."""
 
-    towers: TowerSet
-    r: int
-    theorem_tag: str
-    claims_efficient: bool
-    graph_family: GraphFamily
+    __slots__ = ("towers", "r", "theorem_tag", "claims_efficient", "graph_family")
+
+    def __init__(self, towers: TowerSet, r: int, theorem_tag: str, claims_efficient: bool,
+                 graph_family: GraphFamily):
+        super().__init__(towers, r, theorem_tag, claims_efficient, graph_family)
 
     @property
     def t(self) -> int:
@@ -259,8 +258,7 @@ def slant_single_tower(n_rows: int, t: int, r: int) -> PlacementPlan:
     )
 
 
-@dataclass(frozen=True)
-class LatticePattern:
+class LatticePattern(NamedTuple):
     """A doubly periodic tower layout on an infinite lattice.
 
     ``kind`` selects both the coordinate rule and the ambient metric:

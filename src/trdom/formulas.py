@@ -31,8 +31,7 @@ Operations validate their side conditions and raise
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .graphs import DominationError, GraphInstance, int_from_json
 
@@ -52,8 +51,7 @@ class UnsupportedTRPair(DominationError):
     """No slant tiling row is stated for this (t, r) pair."""
 
 
-@dataclass(frozen=True)
-class GammaResult:
+class GammaResult(NamedTuple):
     """A domination value plus the kind and provenance of the claim."""
 
     value: int
@@ -74,8 +72,7 @@ class GammaResult:
         return out
 
 
-@dataclass(frozen=True)
-class BlockDims:
+class BlockDims(NamedTuple):
     """Dimensions of a grid dominated by exactly two towers."""
 
     dims: Tuple[int, ...]
@@ -233,8 +230,7 @@ def slant_gamma_2xn(n: int, t: int, r: int) -> GammaResult:
     return GammaResult(_ceil_div(2 * (n + r - 1), 4 * t - 2 * r - 1), EXACT, "Thm5.7")
 
 
-@dataclass(frozen=True)
-class SlantTileRow:
+class SlantTileRow(NamedTuple):
     """One row of the slant tiling table.
 
     ``height`` and ``width`` are the tile dimensions (the moduli of m

@@ -27,11 +27,10 @@ stencil cache holds immutable tuples, so concurrent reads are safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from operator import sub
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 Vertex = Union[int, Tuple[int, int], Tuple[int, int, int]]
 LatticePoint = Tuple[int, int]
@@ -53,14 +52,56 @@ class UnknownVertex(DominationError):
     """A vertex identifier does not belong to the graph."""
 
 
+class Record:
+    """A slotted record, compared and shown by the fields in ``__slots__``.
+
+    ``__init__`` takes the field values in ``__slots__`` order.  Records
+    of one class are equal when their ``_key()`` values are; a plain
+    record is mutable and unhashable.  Immutable values without extra
+    behaviour are ``NamedTuple`` instead.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A hashable record whose fields are never reassigned after ``__init__``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is frozen; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is frozen; cannot delete {name!r}")
+
+
 # Each family kind and the names of its dimensions; a tree is given by its
 # edge list instead.
 FAMILY_DIMS = {"path": ("n",), "cycle": ("n",), "grid": ("m", "n"), "grid3d": ("m", "n", "k"),
                "slant": ("m", "n"), "king": ("m", "n"), "tree": ()}
 
 
-@dataclass(frozen=True)
-class GraphFamily:
+class GraphFamily(NamedTuple):
     """A named family plus its dimensions (or edge list for trees)."""
 
     kind: str
@@ -105,8 +146,7 @@ class GraphFamily:
         return f"{self.kind}({', '.join(map(str, self.dims))})"
 
 
-@dataclass
-class GraphInstance:
+class GraphInstance(Record):
     """A concrete finite graph with membership, ball and distance access.
 
     Only a tree holds an ``adjacency`` (symmetric and irreflexive); box
@@ -115,10 +155,12 @@ class GraphInstance:
     witnesses rely on.
     """
 
-    family: GraphFamily
-    vertices: Tuple[Vertex, ...]
-    members: FrozenSet[Vertex]
-    adjacency: Optional[Dict[Vertex, FrozenSet[Vertex]]] = None
+    __slots__ = ("family", "vertices", "members", "adjacency")
+
+    def __init__(self, family: GraphFamily, vertices: Tuple[Vertex, ...],
+                 members: FrozenSet[Vertex],
+                 adjacency: Optional[Dict[Vertex, FrozenSet[Vertex]]] = None):
+        super().__init__(family, vertices, members, adjacency)
 
     @property
     def vertex_count(self) -> int:

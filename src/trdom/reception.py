@@ -15,30 +15,28 @@ cache, so evaluation across many tower sets can run in parallel freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Iterable, NamedTuple, Tuple
 
-from .graphs import (DominationError, GraphInstance, Vertex, int_from_json, vertex_from_json,
-                     vertex_to_json)
+from .graphs import (DominationError, FrozenRecord, GraphInstance, Vertex, int_from_json,
+                     vertex_from_json, vertex_to_json)
 
 
 class TowerOutsideGraph(DominationError):
     """A tower set references a vertex the target graph does not have."""
 
 
-@dataclass(frozen=True)
-class TowerSet:
+class TowerSet(FrozenRecord):
     """An ordered, duplicate-free collection of towers of strength ``t``."""
 
-    towers: Tuple[Vertex, ...]
-    t: int
+    __slots__ = ("towers", "t")
 
-    def __post_init__(self):
-        object.__setattr__(self, "towers", tuple(self.towers))
-        if self.t < 1:
-            raise DominationError(f"tower strength must be positive, got {self.t}")
-        if len(set(self.towers)) != len(self.towers):
+    def __init__(self, towers: Iterable[Vertex], t: int):
+        towers = tuple(towers)
+        if t < 1:
+            raise DominationError(f"tower strength must be positive, got {t}")
+        if len(set(towers)) != len(towers):
             raise DominationError("tower list contains duplicates")
+        super().__init__(towers, t)
 
     def __len__(self) -> int:
         return len(self.towers)
@@ -59,8 +57,7 @@ class TowerSet:
                    int_from_json(t, "tower strength t"))
 
 
-@dataclass(frozen=True)
-class ReceptionMap:
+class ReceptionMap(NamedTuple):
     """Per-vertex accumulated signal for one (graph, towers, t) triple."""
 
     reception: Dict[Vertex, int]
@@ -71,8 +68,7 @@ class ReceptionMap:
         return min(self.reception.values())
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Domination and efficiency verdict for a tower set.
 
     ``wasted_signal`` sums the excess over ``r`` on overlap vertices

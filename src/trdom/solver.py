@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from .graphs import DominationError, GraphInstance, Vertex, vertex_to_json
+from .graphs import DominationError, FrozenRecord, GraphInstance, Vertex, vertex_to_json
 from .reception import TowerSet
 
 
@@ -35,35 +34,37 @@ class Infeasible(DominationError):
     """No tower set can reach the required reception (r too large)."""
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(FrozenRecord):
     """Search knobs; caps must be positive when present."""
 
-    max_cardinality: Optional[int] = None
-    canonical_witness: bool = True
-    node_budget: Optional[int] = None
+    __slots__ = ("max_cardinality", "canonical_witness", "node_budget")
 
-    def __post_init__(self):
-        if self.max_cardinality is not None and self.max_cardinality < 1:
+    def __init__(self, max_cardinality: Optional[int] = None, canonical_witness: bool = True,
+                 node_budget: Optional[int] = None):
+        if max_cardinality is not None and max_cardinality < 1:
             raise DominationError("max_cardinality must be positive")
-        if self.node_budget is not None and self.node_budget < 1:
+        if node_budget is not None and node_budget < 1:
             raise DominationError("node_budget must be positive")
+        super().__init__(max_cardinality, canonical_witness, node_budget)
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(FrozenRecord):
     """An oracle's answer; ``canonical`` means the witness is the
     lexicographically least minimum dominating set.  ``stats`` (from
     :func:`solve`) holds per-phase ``nodes`` and ``seconds``, the bounds,
-    the deepening ``levels`` tried and ``budget_exhausted_in``.
+    the deepening ``levels`` tried and ``budget_exhausted_in``; equality
+    and hash leave it out.
     """
 
-    gamma: int
-    witness: TowerSet
-    explored_nodes: int
-    proven_minimal: bool
-    canonical: bool = False
-    stats: Optional[dict] = field(default=None, compare=False)
+    __slots__ = ("gamma", "witness", "explored_nodes", "proven_minimal", "canonical", "stats")
+
+    def __init__(self, gamma: int, witness: TowerSet, explored_nodes: int,
+                 proven_minimal: bool, canonical: bool = False, stats: Optional[dict] = None):
+        super().__init__(gamma, witness, explored_nodes, proven_minimal, canonical, stats)
+
+    def _key(self) -> tuple:
+        return (self.gamma, self.witness, self.explored_nodes, self.proven_minimal,
+                self.canonical)
 
     def to_json(self) -> dict:
         return {
