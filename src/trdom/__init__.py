@@ -22,7 +22,6 @@ from .graphs import (
     cycle_graph,
     family_from_json,
     family_to_json,
-    graph_from_json,
     grid3d_graph,
     grid_graph,
     king_distance,
@@ -37,7 +36,6 @@ from .reception import (
     TowerOutsideGraph,
     TowerSet,
     VerificationReport,
-    broadcast_zone,
     compute_reception,
     verify,
 )
@@ -75,7 +73,6 @@ from .constructions import (
     king_lattice_pattern,
     king_towers,
     path_towers,
-    slant_single_tower,
     slant_tile_cover,
     slant_towers_2xn,
     triangular_lattice_pattern,

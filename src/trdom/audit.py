@@ -118,28 +118,20 @@ def finish_row(row: ComparisonRow) -> ComparisonRow:
     return row
 
 
-def _audit_instance(
-    family: GraphFamily,
-    t: int,
-    r: int,
-    result: fo.GammaResult,
-    plan: Optional[cons.PlacementPlan],
-    oracle_limit: int,
-    expect_count: bool = True,
-) -> ComparisonRow:
+def _audit_case(family: GraphFamily, t: int, r: int, claim: fo.GammaResult,
+                plan: Optional[cons.PlacementPlan], oracle_limit: int) -> ComparisonRow:
+    """One row: claim vs construction (if any) vs oracle.  An exact claim's
+    construction must have exactly its count; any other must stay within it."""
     g = graphs.build(family)
-    row = ComparisonRow(
-        instance=family.describe(), t=t, r=r,
-        theorem_tag=result.theorem_tag, kind=result.kind, formula=result.value,
-    )
+    row = ComparisonRow(family.describe(), t, r, claim.theorem_tag, claim.kind, claim.value)
     if plan is not None:
         row.constructed = len(plan)
         if not plan.verify(g).dominated:
             row.note = "constructed plan does not dominate"
-        elif expect_count and result.kind == fo.EXACT and len(plan) != result.value:
-            row.note = f"constructed {len(plan)} towers, formula says {result.value}"
-        elif not expect_count and len(plan) > result.value:
-            row.note = f"constructed {len(plan)} towers exceeds bound {result.value}"
+        elif claim.kind == fo.EXACT and len(plan) != claim.value:
+            row.note = f"constructed {len(plan)} towers, formula says {claim.value}"
+        elif len(plan) > claim.value:
+            row.note = f"constructed {len(plan)} towers exceeds bound {claim.value}"
         if row.note:
             row.status = "MISMATCH"  # the construction fails the claim
             return row
@@ -149,68 +141,57 @@ def _audit_instance(
     return finish_row(row)
 
 
-def _audit_family(family: GraphFamily, t: int, r: int, oracle_limit: int) -> ComparisonRow:
+# --------------------------------------------------------------------------
+# suites: each yields (family, t, r, claim, plan) cases from (n_max, t_max)
+
+def _registered(family: GraphFamily, t: int, r: int):
     claim, construct = CLAIMS[family.kind]
-    return _audit_instance(family, t, r, claim(*family.dims, t, r),
-                           construct(*family.dims, t, r), oracle_limit)
+    return family, t, r, claim(*family.dims, t, r), construct(*family.dims, t, r)
 
 
-def _suite_paths(n_max: int, t_max: int, oracle_limit: int) -> List[ComparisonRow]:
-    return [_audit_family(GraphFamily.path(n), t, r, oracle_limit)
-            for t in range(1, t_max + 1)
-            for r in range(1, t + 1)
-            for n in range(1, n_max + 1)]
+def _paths(n_max: int, t_max: int):
+    for t in range(1, t_max + 1):
+        for r in range(1, t + 1):
+            for n in range(1, n_max + 1):
+                yield _registered(GraphFamily.path(n), t, r)
 
 
-def _suite_grids(oracle_limit: int, cell_cap: int = 27) -> List[ComparisonRow]:
-    rows = []
+def _grids(n_max: int, t_max: int, cell_cap: int = 27):
     for m in (2, 3):
         for t, r in ((2, 1), (3, 1), (3, 2)):
-            if 2 * t - r <= m - 1:
-                continue
-            for n in range(fo.grid_block_width(m, t, r), cell_cap // m + 1):
-                rows.append(_audit_family(GraphFamily.grid(m, n), t, r, oracle_limit))
-    return rows
+            if 2 * t - r > m - 1:
+                for n in range(fo.grid_block_width(m, t, r), cell_cap // m + 1):
+                    yield _registered(GraphFamily.grid(m, n), t, r)
 
 
-def _suite_grid3d(oracle_limit: int) -> List[ComparisonRow]:
-    rows = []
+def _grid3d(n_max: int, t_max: int):
     for k in range(1, 6):
-        family = GraphFamily.grid3d(2, 2, k)
-        rows.append(_audit_instance(
-            family, 2, 1, fo.grid3d_2_2_k_gamma(k), None, oracle_limit))
+        yield GraphFamily.grid3d(2, 2, k), 2, 1, fo.grid3d_2_2_k_gamma(k), None
     for t in (2, 3):
         for r in range(1, t + 1):
             for block in fo.block3d_family(fo.block3d_sum(t, r), t, r):
-                if block.vertex_count() > 27:
-                    continue
-                claim = fo.GammaResult(2, fo.EXACT, "Thm4.4")
-                plan = cons.block3d_towers(block, t, r)
-                rows.append(_audit_instance(
-                    GraphFamily.grid3d(*block.dims), t, r, claim, plan, oracle_limit))
+                if block.vertex_count() <= 27:
+                    yield (GraphFamily.grid3d(*block.dims), t, r,
+                           fo.GammaResult(2, fo.EXACT, "Thm4.4"), cons.block3d_towers(block, t, r))
     block = fo.block3d_dims("2x2", 2, 1)
     for dims in ((2, 2, 5), (2, 4, 2), (4, 4, 4)):
-        bound = fo.grid3d_upper_bound(*dims, 2, 1, block)
-        plan = cons.grid3d_cover(*dims, 2, 1, block)
-        rows.append(_audit_instance(
-            GraphFamily.grid3d(*dims), 2, 1, bound, plan, oracle_limit,
-            expect_count=False))
-    return rows
+        yield (GraphFamily.grid3d(*dims), 2, 1, fo.grid3d_upper_bound(*dims, 2, 1, block),
+               cons.grid3d_cover(*dims, 2, 1, block))
 
 
-def _suite_king(t_max: int, oracle_limit: int, cell_cap: int = 30) -> List[ComparisonRow]:
-    return [_audit_family(GraphFamily.king(m, n), t, r, oracle_limit)
-            for t in range(2, t_max + 1)
-            for r in range(1, t)
-            for m in range(1, 2 * (t - r) + 2)
-            for n in range(1, cell_cap // m + 1)]
+def _king(n_max: int, t_max: int, cell_cap: int = 30):
+    for t in range(2, min(t_max, 3) + 1):
+        for r in range(1, t):
+            for m in range(1, 2 * (t - r) + 2):
+                for n in range(1, cell_cap // m + 1):
+                    yield _registered(GraphFamily.king(m, n), t, r)
 
 
-def _suite_slant(n_max: int, t_max: int, oracle_limit: int) -> List[ComparisonRow]:
-    rows = [_audit_family(GraphFamily.slant(2, n), t, r, oracle_limit)
-            for t in range(2, t_max + 1)
-            for r in range(1, t)
-            for n in range(1, n_max + 1)]
+def _slant(n_max: int, t_max: int):
+    for t in range(2, min(t_max, 3) + 1):
+        for r in range(1, t):
+            for n in range(1, n_max + 1):
+                yield _registered(GraphFamily.slant(2, n), t, r)
     # The Table 1 tiles call the tiling bound directly: at m = 2, CLAIMS
     # selects Thm5.7 instead, but these rows audit the table.
     for (t, r), tile in sorted(fo.SLANT_TILE_ROWS.items()):
@@ -218,17 +199,13 @@ def _suite_slant(n_max: int, t_max: int, oracle_limit: int) -> List[ComparisonRo
             for q in (1, 2):
                 for dl in (0, 1):
                     for dk in (0, 1):
-                        m = tile.height * p + dl
-                        n = tile.width * q + dk
-                        bound = fo.slant_upper_bound(m, n, t, r)
-                        plan = cons.slant_tile_cover(m, n, t, r)
-                        rows.append(_audit_instance(
-                            GraphFamily.slant(m, n), t, r, bound, plan,
-                            oracle_limit, expect_count=False))
-    return rows
+                        m, n = tile.height * p + dl, tile.width * q + dk
+                        yield (GraphFamily.slant(m, n), t, r, fo.slant_upper_bound(m, n, t, r),
+                               cons.slant_tile_cover(m, n, t, r))
 
 
-SUITES = ("paths", "grids", "grid3d", "king", "slant", "all")
+# suite name -> its case generator; ``all`` runs every suite in this order.
+SUITES = {"paths": _paths, "grids": _grids, "grid3d": _grid3d, "king": _king, "slant": _slant}
 
 
 def run_audit(
@@ -237,17 +214,9 @@ def run_audit(
     t_max: int = 4,
     oracle_limit: int = MAX_ORACLE_VERTICES,
 ) -> List[ComparisonRow]:
-    rows: List[ComparisonRow] = []
-    if suite in ("paths", "all"):
-        rows += _suite_paths(n_max, t_max, oracle_limit)
-    if suite in ("grids", "all"):
-        rows += _suite_grids(oracle_limit)
-    if suite in ("grid3d", "all"):
-        rows += _suite_grid3d(oracle_limit)
-    if suite in ("king", "all"):
-        rows += _suite_king(min(t_max, 3), oracle_limit)
-    if suite in ("slant", "all"):
-        rows += _suite_slant(n_max, min(t_max, 3), oracle_limit)
+    rows = [_audit_case(*case, oracle_limit)
+            for name in (SUITES if suite == "all" else (suite,))
+            for case in SUITES[name](n_max, t_max)]
     rows.sort(key=lambda row: (row.instance, row.t, row.r, row.theorem_tag))
     return rows
 

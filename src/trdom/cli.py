@@ -380,7 +380,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("audit", help="formula-vs-oracle sweep")
-    p.add_argument("--suite", choices=SUITES, required=True)
+    p.add_argument("--suite", choices=[*SUITES, "all"], required=True)
     p.add_argument("--n-max", type=int, default=14)
     p.add_argument("--t-max", type=int, default=4)
     p.add_argument("--csv", help="also write the comparison rows to this CSV file")

@@ -25,13 +25,12 @@ from .formulas import (
     grid_block_width,
     grid_gamma,
     grid_starting_block_dims,
-    grid3d_upper_bound,
+    grid3d_tiling,
     king_gamma,
     path_gamma,
     slant_gamma_2xn,
     slant_tile_row,
     slant_upper_bound,
-    _orientations,
 )
 from .graphs import (
     METRICS,
@@ -181,13 +180,7 @@ def grid3d_cover(m: int, n: int, k: int, t: int, r: int, block: BlockDims) -> Pl
     Uses the block orientation minimizing the block count; towers of
     clipped boundary blocks are clamped inward.
     """
-    bound = grid3d_upper_bound(m, n, k, t, r, block)
-    best = None
-    for bm, bn, bk in _orientations(block.dims):
-        count = _ceil_div(m, bm) * _ceil_div(n, bn) * _ceil_div(k, bk)
-        if best is None or count < best[0]:
-            best = (count, (bm, bn, bk))
-    _, (bm, bn, bk) = best
+    blocks, (bm, bn, bk) = grid3d_tiling(m, n, k, block)
     towers: List[Vertex] = []
     for a in range(_ceil_div(m, bm)):
         for b in range(_ceil_div(n, bn)):
@@ -196,7 +189,7 @@ def grid3d_cover(m: int, n: int, k: int, t: int, r: int, block: BlockDims) -> Pl
                 towers.append((min(m, 1 + oi), min(n, 1 + oj), min(k, bk + ok)))
                 towers.append((min(m, bm + oi), min(n, bn + oj), min(k, 1 + ok)))
     plan = _plan(GraphFamily.grid3d(m, n, k), towers, t, r, "Thm1.3")
-    assert len(plan) <= bound.value
+    assert len(plan) <= 2 * blocks
     return plan
 
 
@@ -240,22 +233,6 @@ def slant_towers_2xn(n: int, t: int, r: int) -> PlacementPlan:
     efficient = n == 4 * t - 3 * r
     tag = "Thm5.6" if efficient else "Thm5.7"
     return _plan(GraphFamily.slant(2, n), towers, t, r, tag, efficient)
-
-
-def slant_single_tower(n_rows: int, t: int, r: int) -> PlacementPlan:
-    """One corner tower dominating the square slant grid S_{n,n}.
-
-    Requires n = t - r + 1, so every vertex is within t - r of the
-    origin corner.
-    """
-    _require(t >= r >= 1, f"need t >= r >= 1, got t={t}, r={r}")
-    _require(
-        n_rows == t - r + 1,
-        f"single-tower square needs n = t - r + 1 = {t - r + 1}, got {n_rows}",
-    )
-    return _plan(
-        GraphFamily.slant(n_rows, n_rows), [(1, 1)], t, r, "Lemma5.2", efficient=True
-    )
 
 
 class LatticePattern(NamedTuple):

@@ -193,23 +193,21 @@ def grid3d_upper_bound(m: int, n: int, k: int, t: int, r: int, block: BlockDims)
 
     B counts translated blocks in the orientation that minimizes it.
     """
+    return GammaResult(2 * grid3d_tiling(m, n, k, block)[0], UPPER, "Thm1.3")
+
+
+def grid3d_tiling(m: int, n: int, k: int, block: BlockDims) -> Tuple[int, Tuple[int, int, int]]:
+    """(B, orientation): the fewest translated blocks tiling G_{m,n,k}.
+
+    Ties go to the first orientation in permutation order.
+    """
     for d in (m, n, k):
         _require(d >= 1, f"grid3d dimensions must be positive, got {(m, n, k)}")
     _require(len(block.dims) == 3, f"need a 3D block, got dims {block.dims}")
-    blocks = min(
-        _ceil_div(m, bm) * _ceil_div(n, bn) * _ceil_div(k, bk)
-        for bm, bn, bk in _orientations(block.dims)
-    )
-    return GammaResult(2 * blocks, UPPER, "Thm1.3")
-
-
-def _orientations(dims: Tuple[int, int, int]):
-    a, b, c = dims
-    seen = []
-    for perm in ((a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)):
-        if perm not in seen:
-            seen.append(perm)
-    return seen
+    a, b, c = block.dims
+    orientations = ((a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a))
+    return min(((_ceil_div(m, bm) * _ceil_div(n, bn) * _ceil_div(k, bk), (bm, bn, bk))
+                for bm, bn, bk in orientations), key=lambda tiling: tiling[0])
 
 
 def king_gamma(m: int, n: int, t: int, r: int) -> GammaResult:

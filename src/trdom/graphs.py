@@ -406,10 +406,6 @@ def family_from_json(data: dict) -> GraphFamily:
     return GraphFamily(kind, dims)
 
 
-def graph_from_json(data: dict) -> GraphInstance:
-    return build(family_from_json(data))
-
-
 def vertex_to_json(v: Vertex):
     return list(v) if isinstance(v, tuple) else v
 

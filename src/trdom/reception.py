@@ -164,11 +164,6 @@ def report_from_sums(reception: Dict[Vertex, int], zones: Dict[Vertex, int],
     )
 
 
-def broadcast_zone(g: GraphInstance, w: Vertex, t: int) -> frozenset:
-    """Vertices within distance ``t - 1`` of tower ``w``."""
-    return frozenset(g.ball(w, t - 1))
-
-
 def render_reception(
     g: GraphInstance,
     ts: TowerSet,

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trdom.audit import CLAIMS
+from trdom.audit import CLAIMS, run_audit
 from trdom.cli import main
+from trdom.formulas import UPPER
 from trdom.graphs import FAMILY_DIMS
 from trdom.reception import render_reception
-from trdom import (BlockDims, DominationError, GraphFamily, PlacementPlan, TowerSet,
+from trdom import (BlockDims, DominationError, GammaResult, GraphFamily, PlacementPlan,
+                   TowerSet,
                    cycle_towers, cycle_upper_bound, family_from_json, grid3d_2_2_k_gamma,
                    grid3d_cover, grid3d_upper_bound, grid_gamma, grid_graph, grid_towers,
                    king_gamma, king_towers, path_gamma, path_graph, path_towers,
@@ -320,16 +322,31 @@ class TestAudit:
         assert code == 0
         assert json.loads(out)["params"]["max_oracle_vertices"] == limit
 
-    @pytest.mark.parametrize("suite", ["paths", "grids", "grid3d", "king", "slant"])
+    @pytest.mark.parametrize("suite", ["paths", "grids", "grid3d", "king", "slant", "all"])
     def test_suite_matches_recorded_reference(self, capsys, suite):
         # Rows recorded by perfbench/record_reference.py; the 13 Thm1.2 and
         # 1 Thm4.1 MISMATCH rows are known defects and must stay visible.
+        # ``all`` is every recorded suite's rows, sorted as the audit sorts.
         with open(REFERENCE_ROWS) as handle:
-            expected = json.load(handle)[suite]
+            recorded = json.load(handle)
+        expected = (sorted((row for rows in recorded.values() for row in rows),
+                           key=lambda row: row[:4])
+                    if suite == "all" else recorded[suite])
         code, out, _ = run_cli(capsys, "audit", "--suite", suite, "--json")
         rows = [[row[name] for name in AUDIT_FIELDS] for row in json.loads(out)["rows"]]
         assert rows == expected
         assert code == (3 if any(row[-1] == "MISMATCH" for row in expected) else 0)
+
+    def test_construction_is_held_to_an_upper_bound(self, monkeypatch):
+        # An upper-bound claim's construction must stay within the bound:
+        # path(n) at t = 1 needs n towers, so n > 1 exceeds a bound of 1.
+        monkeypatch.setitem(CLAIMS, "path", (lambda n, t, r: GammaResult(1, UPPER, "probe"),
+                                             CLAIMS["path"][1]))
+        rows = run_audit("paths", n_max=3, t_max=1, oracle_limit=0)
+        assert [(row.instance, row.constructed, row.status) for row in rows] == [
+            ("path(1)", 1, "oracle-skipped"), ("path(2)", 2, "MISMATCH"),
+            ("path(3)", 3, "MISMATCH")]
+        assert all("exceeds bound" in row.note for row in rows[1:])
 
 
 def test_usage_error_exit_code(capsys):

@@ -3,11 +3,11 @@ import pytest
 from trdom import (
     HypothesisViolated,
     PlacementPlan,
+    TowerSet,
     block3d_dims,
     block3d_family,
     block3d_sum,
     block3d_towers,
-    broadcast_zone,
     compute_reception,
     cycle_towers,
     cycle_upper_bound,
@@ -22,9 +22,10 @@ from trdom import (
     path_graph,
     path_towers,
     slant_gamma_2xn,
-    slant_single_tower,
+    slant_graph,
     slant_tile_cover,
     slant_towers_2xn,
+    verify,
 )
 
 
@@ -56,7 +57,7 @@ class TestPathTowers:
             for a, b in zip(towers, towers[1:]):
                 if b - a != 2 * t - r:
                     continue  # the clamped tail pair
-                shared = broadcast_zone(g, a, t) & broadcast_zone(g, b, t)
+                shared = frozenset(g.ball(a, t - 1)) & frozenset(g.ball(b, t - 1))
                 assert len(shared) == r - 1
                 assert all(reception[v] == r for v in shared)
 
@@ -73,7 +74,7 @@ class TestPathTowers:
                     continue
                 ordered = sorted(towers.towers)
                 for a, b in zip(ordered, ordered[1:]):
-                    shared = broadcast_zone(g, a, t) & broadcast_zone(g, b, t)
+                    shared = frozenset(g.ball(a, t - 1)) & frozenset(g.ball(b, t - 1))
                     assert len(shared) >= r - 1
 
 
@@ -209,14 +210,12 @@ class TestSlantTowers:
                     plan = slant_towers_2xn(n, t, r)
                     assert len(plan) == 1
                     assert plan.verify().dominated
-        # One corner tower handles the square S_{n,n} with n = t - r + 1.
+        # One corner tower handles the square S_{n,n} with n = t - r + 1
+        # (Lemma 5.2).
         for t in range(1, 6):
             for r in range(1, t + 1):
-                plan = slant_single_tower(t - r + 1, t, r)
-                assert plan.towers.towers == ((1, 1),)
-                assert plan.verify().dominated
-        with pytest.raises(HypothesisViolated):
-            slant_single_tower(4, 3, 1)  # wrong square size
+                n = t - r + 1
+                assert verify(slant_graph(n, n), TowerSet([(1, 1)], t), r).dominated
 
 
 class TestSlantTileCover:

@@ -13,7 +13,6 @@ from trdom import (
     cycle_graph,
     family_from_json,
     family_to_json,
-    graph_from_json,
     grid3d_graph,
     grid_graph,
     king_distance,
@@ -262,7 +261,7 @@ def test_family_json_round_trip():
     for family in families:
         data = family_to_json(family)
         assert family_from_json(data) == family
-    g = graph_from_json({"family": "grid", "m": 3, "n": 5})
+    g = build(family_from_json({"family": "grid", "m": 3, "n": 5}))
     assert g.vertex_count == 15
     with pytest.raises(InvalidDimensions):
         family_from_json({"family": "moebius", "n": 5})
